@@ -1,10 +1,13 @@
 #include "bench_common.hpp"
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
 #include "common/rng.hpp"
 #include "telemetry/manifest.hpp"
 
@@ -72,6 +75,30 @@ void spin_ns(std::uint64_t ns) {
   while (now_ns() < until) {
     // busy wait
   }
+}
+
+bool time_checkpoint(sim::SiriusSim& probe, const std::string& snap,
+                     const char* stem, int iters, double* write_ns,
+                     double* restore_ns, std::string* error) {
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() /
+      (std::string(stem) + "." + std::to_string(::getpid()) + ".ckpt");
+  bool ok = true;
+  const std::uint64_t w0 = now_ns();
+  for (int i = 0; i < iters && ok; ++i) {
+    ok = ckpt::save(file, probe.checkpoint_state(), error);
+  }
+  const std::uint64_t w1 = now_ns();
+  for (int i = 0; i < iters && ok; ++i) {
+    ok = probe.restore_state(snap, error);
+  }
+  const std::uint64_t r1 = now_ns();
+  std::error_code ec;
+  std::filesystem::remove(file, ec);
+  if (!ok) return false;
+  *write_ns = static_cast<double>(w1 - w0) / iters;
+  *restore_ns = static_cast<double>(r1 - w1) / iters;
+  return true;
 }
 
 }  // namespace sirius::bench

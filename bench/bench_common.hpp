@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/sirius_sim.hpp"
 #include "telemetry/json.hpp"
 
 namespace sirius::bench {
@@ -40,6 +41,17 @@ inline constexpr const char* kBenchSchema = "sirius.bench.v1";
 /// normalise a committed baseline to the machine running the comparison
 /// (docs/OBSERVABILITY.md, "Performance observability").
 [[nodiscard]] std::uint64_t calibration_ns();
+
+/// Mean host cost of one checkpoint write and one restore: `iters` saves
+/// of `probe`'s state through ckpt::save (serialize + frame + fsync +
+/// atomic rename) to a file private to this process, then `iters`
+/// restores of `snap` into `probe`. The file name carries the process id,
+/// so bench binaries running side by side (ctest -j) never share it; it is
+/// removed afterwards. Returns false with the failure in `*error` if any
+/// save or restore fails — the caller must not report the timings then.
+bool time_checkpoint(sim::SiriusSim& probe, const std::string& snap,
+                     const char* stem, int iters, double* write_ns,
+                     double* restore_ns, std::string* error);
 
 /// Busy-spins for at least `ns` nanoseconds. Used by perf_bench
 /// --inject-spin-ns to demonstrate that the regression gate fails on a

@@ -13,11 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 
 #include "bench_common.hpp"
-#include "ckpt/checkpoint.hpp"
 #include "common/atomic_file.hpp"
 #include "common/rng.hpp"
 #include "fec/reed_solomon.hpp"
@@ -218,36 +216,14 @@ int run_summary(const char* path) {
   }
   double ckpt_write_ns = 0.0;
   double ckpt_restore_ns = 0.0;
-  if (!snap.empty()) {
-    sim::SiriusSim probe(cfg, w);
-    std::string err;
-    if (probe.restore_state(snap, &err)) {
-      const std::filesystem::path tmp =
-          std::filesystem::temp_directory_path() / "sirius_micro_bench.ckpt";
-      constexpr int kIters = 10;
-      const auto w0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kIters; ++i) {
-        if (!ckpt::save(tmp, probe.checkpoint_state(), &err)) break;
-      }
-      const auto w1 = std::chrono::steady_clock::now();
-      ckpt_write_ns =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(w1 - w0)
-                  .count()) /
-          kIters;
-      const auto r0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kIters; ++i) {
-        if (!probe.restore_state(snap, &err)) break;
-      }
-      const auto r1 = std::chrono::steady_clock::now();
-      ckpt_restore_ns =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(r1 - r0)
-                  .count()) /
-          kIters;
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-    }
+  std::string err = "the run took no checkpoint";
+  sim::SiriusSim probe(cfg, w);
+  if (snap.empty() || !probe.restore_state(snap, &err) ||
+      !bench::time_checkpoint(probe, snap, "sirius_micro_bench", 10,
+                              &ckpt_write_ns, &ckpt_restore_ns, &err)) {
+    std::fprintf(stderr, "micro_bench: checkpoint round trip failed: %s\n",
+                 err.c_str());
+    return 1;
   }
 
   // Same `sirius.bench.v1` shape as perf_bench: schema + provenance at the

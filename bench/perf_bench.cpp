@@ -29,12 +29,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "ckpt/checkpoint.hpp"
 #include "common/atomic_file.hpp"
 #include "ctrl/fault_plan.hpp"
 #include "sim/sirius_sim.hpp"
@@ -284,11 +282,13 @@ bool scenario_telemetry_pair(const Options& opt, const Scale& s,
 /// Checkpoint cadence run: serialization cost in-loop (sirius.ckpt.v1
 /// payloads every 500 simulated us) plus the out-of-loop write (frame +
 /// fsync + atomic rename) and restore costs against a mid-run state.
-void scenario_checkpoint(const Options& opt, const Scale& s,
+/// Returns false, after reporting why, when a checkpoint cannot be saved or
+/// restored: a timing of a failed round trip would be meaningless.
+bool scenario_checkpoint(const Options& opt, const Scale& s,
                          std::vector<std::string>* out) {
   const std::string name = std::string(s.prefix) + "checkpoint_500us_" +
                            std::to_string(s.other_racks) + "rack";
-  if (!wants(opt, name)) return;
+  if (!wants(opt, name)) return true;
   auto cfg = base_config(s.other_racks);
   cfg.checkpoint_every = Time::us(500);
   const auto w = make_workload(cfg, 0.5, s.other_flows);
@@ -312,31 +312,19 @@ void scenario_checkpoint(const Options& opt, const Scale& s,
 
   double write_ns = 0.0;
   double restore_ns = 0.0;
-  if (!snap.empty()) {
-    auto probe_cfg = base_config(s.other_racks);
-    sim::SiriusSim probe(probe_cfg, w);
-    std::string err;
-    if (probe.restore_state(snap, &err)) {
-      const std::filesystem::path tmp =
-          std::filesystem::temp_directory_path() / "sirius_perf_bench.ckpt";
-      constexpr int kIters = 10;
-      const std::uint64_t w0 = bench::now_ns();
-      for (int i = 0; i < kIters; ++i) {
-        if (!ckpt::save(tmp, probe.checkpoint_state(), &err)) break;
-      }
-      write_ns = static_cast<double>(bench::now_ns() - w0) / kIters;
-      const std::uint64_t r0 = bench::now_ns();
-      for (int i = 0; i < kIters; ++i) {
-        if (!probe.restore_state(snap, &err)) break;
-      }
-      restore_ns = static_cast<double>(bench::now_ns() - r0) / kIters;
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-    }
+  std::string err = "the run took no checkpoint";
+  sim::SiriusSim probe(base_config(s.other_racks), w);
+  if (snap.empty() || !probe.restore_state(snap, &err) ||
+      !bench::time_checkpoint(probe, snap, "sirius_perf_bench", 10, &write_ns,
+                              &restore_ns, &err)) {
+    std::fprintf(stderr, "perf_bench: %s: checkpoint round trip failed: %s\n",
+                 name.c_str(), err.c_str());
+    return false;
   }
   o.add_num("ckpt_write_ns", write_ns);
   o.add_num("ckpt_restore_ns", restore_ns);
   out->push_back(o.str());
+  return true;
 }
 
 int run_suite(const Options& opt) {
@@ -349,7 +337,7 @@ int run_suite(const Options& opt) {
     scenario_load_sweep(opt, *s, &configs);
     scenario_fault_storm(opt, *s, &configs);
     ok = scenario_telemetry_pair(opt, *s, &configs) && ok;
-    scenario_checkpoint(opt, *s, &configs);
+    ok = scenario_checkpoint(opt, *s, &configs) && ok;
   }
 
   telemetry::JsonObject doc;

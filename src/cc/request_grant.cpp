@@ -41,63 +41,6 @@ void RequestGrantNode::pool_remove(NodeId n) {
   pool_pos_[static_cast<std::size_t>(n)] = -1;
 }
 
-std::vector<RequestGrantNode::OutgoingRequest> RequestGrantNode::build_requests(
-    const std::vector<NodeId>& pending, std::int64_t epoch, Rng& rng,
-    const std::function<bool(NodeId)>& usable,
-    const std::function<bool(NodeId, NodeId)>& relay_ok) {
-  std::vector<OutgoingRequest> out;
-  if (pending.empty()) return out;
-
-  // Candidate intermediates: every alive, serviceable node but ourselves.
-  intermediate_pool_.clear();
-  for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    if (n != self_ && excluded_[static_cast<std::size_t>(n)] == 0 &&
-        (!usable || usable(n))) {
-      pool_pos_[static_cast<std::size_t>(n)] =
-          static_cast<std::int32_t>(intermediate_pool_.size());
-      intermediate_pool_.push_back(n);
-    } else {
-      pool_pos_[static_cast<std::size_t>(n)] = -1;
-    }
-  }
-  if (intermediate_pool_.empty()) return out;
-
-  out.reserve(std::min(pending.size(), intermediate_pool_.size()));
-  for (const NodeId dst : pending) {
-    if (intermediate_pool_.empty()) break;
-    NodeId pick = kInvalidNode;
-    if (cfg_.spread == SpreadPolicy::kDesynchronized) {
-      // First choice: the rotating, collision-free slot for this
-      // destination. If it is ourselves or already used (same-D repeat),
-      // fall back to a random unused intermediate below.
-      const auto cand = static_cast<NodeId>(
-          (static_cast<std::int64_t>(dst) + self_ + epoch) % cfg_.nodes);
-      if (cand != self_ && pool_pos_[static_cast<std::size_t>(cand)] >= 0 &&
-          (!relay_ok || relay_ok(cand, dst))) {
-        pick = cand;
-      }
-    }
-    if (pick == kInvalidNode) {
-      // Rejection-sample a random unused intermediate; without a relay_ok
-      // veto this is a single draw (the pre-veto behaviour). A cell whose
-      // draws are all vetoed re-requests next epoch.
-      for (std::int32_t attempt = 0; attempt < 4; ++attempt) {
-        const NodeId cand =
-            intermediate_pool_[rng.below(intermediate_pool_.size())];
-        if (!relay_ok || relay_ok(cand, dst)) {
-          pick = cand;
-          break;
-        }
-      }
-      if (pick == kInvalidNode) continue;
-    }
-    pool_remove(pick);
-    out.push_back(OutgoingRequest{pick, dst});
-  }
-  return out;
-}
-
-
 void RequestGrantNode::serialize(ckpt::Writer& w) const {
   w.u64(inbox_.size());
   for (const Request& req : inbox_) {

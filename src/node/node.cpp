@@ -1,6 +1,6 @@
 #include "node/node.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <string>
 
 #include "common/invariant.hpp"
@@ -10,10 +10,11 @@ namespace sirius::node {
 Node::Node(NodeId self, const cc::RequestGrantConfig& cc_cfg,
            DataSize cell_capacity)
     : self_(self), cc_(self, cc_cfg), cell_capacity_(cell_capacity) {
-  vq_.resize(static_cast<std::size_t>(cc_cfg.nodes));
-  fq_.resize(static_cast<std::size_t>(cc_cfg.nodes));
-  retx_.resize(static_cast<std::size_t>(cc_cfg.nodes));
-  per_dst_.resize(static_cast<std::size_t>(cc_cfg.nodes));
+  const auto nodes = static_cast<std::size_t>(cc_cfg.nodes);
+  peers_.resize(nodes);
+  retx_.resize(nodes);
+  per_dst_.resize(nodes);
+  occupied_.assign((nodes + 63) / 64, 0);
 }
 
 void Node::add_flow(const LocalFlow& f) {
@@ -23,61 +24,76 @@ void Node::add_flow(const LocalFlow& f) {
   if (f.total_cells <= 0) return;
   local_.push_back(f);
   const std::size_t idx = local_.size() - 1;
-  per_dst_[static_cast<std::size_t>(f.dst_node)].push_back(idx);
-  // Rotation re-queue, matched by the pop_front above.
-  // sirius-lint: allow(hot-path-alloc)
-  spray_ready_.push_back(idx);
+  per_dst_[static_cast<std::size_t>(f.dst_node)].push(idx);
+  spray_ready_.push(idx);
   ++unfinished_flows_;
 }
 
-std::vector<NodeId> Node::pending_cell_dsts(Time now, Time cell_interval,
-                                            std::size_t limit) const {
-  std::vector<NodeId> out;
-  out.reserve(limit);
+void Node::pending_cell_dsts(Time now, Time cell_interval, std::size_t limit,
+                             PendingScratch* scratch,
+                             std::vector<NodeId>* out) const {
+  out->clear();
 
   // Retransmissions first: a lost cell blocks its flow's in-order prefix
   // at the receiver, so re-covering it beats injecting fresh cells.
-  for (std::size_t dst = 0; dst < retx_.size() && out.size() < limit; ++dst) {
-    for (std::size_t k = 0; k < retx_[dst].size() && out.size() < limit; ++k) {
-      out.push_back(static_cast<NodeId>(dst));
+  if (retx_total_ > 0) {
+    for (std::size_t dst = 0; dst < retx_.size() && out->size() < limit;
+         ++dst) {
+      for (std::size_t k = 0; k < retx_[dst].size() && out->size() < limit;
+           ++k) {
+        out->push_back(static_cast<NodeId>(dst));
+      }
     }
   }
-  if (out.size() >= limit) return out;
+  if (out->size() >= limit) return;
 
-  // Bucket pending flows by source server (buckets keep flow arrival
-  // order; each entry is (destination, pending cell count)).
-  std::vector<std::int32_t> server_ids;
-  std::vector<std::deque<std::pair<NodeId, std::int64_t>>> buckets;
+  // Bucket pending flows by source server. Buckets keep flow arrival order
+  // as a circular list, with `prev` at the back so appends are O(1).
+  auto& entries = scratch->entries;
+  auto& buckets = scratch->buckets;
+  entries.clear();
+  buckets.clear();
   for (std::size_t i = first_unfinished_; i < local_.size(); ++i) {
     const LocalFlow& f = local_[i];
     if (f.exhausted()) continue;
     const std::int64_t n = f.pending(now, cell_interval);
     if (n <= 0) continue;
     std::size_t b = 0;
-    while (b < server_ids.size() && server_ids[b] != f.src_server) ++b;
-    if (b == server_ids.size()) {
-      server_ids.push_back(f.src_server);
-      buckets.emplace_back();
+    while (b < buckets.size() && buckets[b].server != f.src_server) ++b;
+    const auto e = static_cast<std::uint32_t>(entries.size());
+    entries.push_back({f.dst_node, n, e});
+    if (b == buckets.size()) {
+      buckets.push_back({f.src_server, e, e, 1});
+    } else {
+      PendingScratch::Bucket& bk = buckets[b];
+      entries[e].next = bk.cur;
+      entries[bk.prev].next = e;
+      bk.prev = e;
+      ++bk.size;
     }
-    buckets[b].push_back({f.dst_node, n});
   }
 
   // Two-level round-robin: one cell per server per pass, rotating over
-  // each server's flows.
+  // each server's flows; a flow leaves its ring once all its pending
+  // cells are listed.
   bool any = !buckets.empty();
-  while (any && out.size() < limit) {
+  while (any && out->size() < limit) {
     any = false;
-    for (auto& bucket : buckets) {
-      if (bucket.empty()) continue;
-      auto [dst, n] = bucket.front();
-      bucket.pop_front();
-      out.push_back(dst);
-      if (--n > 0) bucket.push_back({dst, n});
-      if (out.size() >= limit) return out;
-      any = any || !bucket.empty();
+    for (PendingScratch::Bucket& bk : buckets) {
+      if (bk.size == 0) continue;
+      PendingScratch::Entry& en = entries[bk.cur];
+      out->push_back(en.dst);
+      if (--en.left > 0) {
+        bk.prev = bk.cur;
+      } else {
+        entries[bk.prev].next = en.next;
+        --bk.size;
+      }
+      bk.cur = entries[bk.prev].next;
+      if (out->size() >= limit) return;
+      any = any || bk.size != 0;
     }
   }
-  return out;
 }
 
 LocalFlow* Node::oldest_pending_flow_for(NodeId dst, Time now,
@@ -88,15 +104,14 @@ LocalFlow* Node::oldest_pending_flow_for(NodeId dst, Time now,
   // destination are interleaved in the rack's FIFO virtual queue (they
   // arrive interleaved from their servers), so service alternates across
   // flows instead of running one flow to completion.
-  while (!q.empty() && local_[q.front()].exhausted()) q.pop_front();
+  while (!q.empty() && local_[q.front()].exhausted()) q.pop();
   for (std::size_t k = 0; k < q.size(); ++k) {
-    const std::size_t idx = q.front();
-    q.pop_front();
-    LocalFlow& f = local_[idx];
-    if (f.exhausted()) continue;
-    // Deque rotation: pops are matched by pushes, so steady state
-    // reuses the same blocks. sirius-lint: allow(hot-path-alloc)
-    q.push_back(idx);
+    LocalFlow& f = local_[q.front()];
+    if (f.exhausted()) {
+      q.pop();
+      continue;
+    }
+    q.rotate();
     if (f.pending(now, cell_interval) > 0) return &f;
   }
   return nullptr;
@@ -126,7 +141,7 @@ std::optional<Cell> Node::take_cell_for(NodeId dst, Time now,
   auto& rq = retx_[static_cast<std::size_t>(dst)];
   if (!rq.empty()) {
     Cell c = rq.front();
-    rq.pop_front();
+    rq.pop();
     --retx_total_;
     gauge_.remove(cell_capacity_);
     return c;
@@ -153,41 +168,41 @@ std::vector<FlowId> Node::abort_flows_where(
 }
 
 void Node::push_retx(const Cell& c) {
-  retx_[static_cast<std::size_t>(c.dst_node)].push_back(c);
+  retx_[static_cast<std::size_t>(c.dst_node)].push(c);
   ++retx_total_;
   gauge_.add(cell_capacity_);
 }
 
 std::int64_t Node::drain_vq_to_retx(NodeId intermediate) {
-  auto& q = vq_[static_cast<std::size_t>(intermediate)];
+  auto& q = peers_[static_cast<std::size_t>(intermediate)].vq;
   std::int64_t moved = 0;
   while (!q.empty()) {
     push_retx(q.front());
-    q.pop_front();
+    q.pop();
     gauge_.remove(cell_capacity_);
     ++moved;
   }
+  update_occupied(intermediate);
   return moved;
 }
 
 std::int64_t Node::purge_dst(NodeId dst,
                              const std::function<void(NodeId)>& on_vq_purge) {
   std::int64_t dropped = 0;
-  for (std::size_t inter = 0; inter < vq_.size(); ++inter) {
-    auto& q = vq_[inter];
+  for (std::size_t inter = 0; inter < peers_.size(); ++inter) {
+    auto& q = peers_[inter].vq;
     for (std::size_t i = q.size(); i > 0; --i) {
-      Cell c = q.front();
-      q.pop_front();
-      if (c.dst_node == dst) {
-        gauge_.remove(cell_capacity_);
-        ++dropped;
-        if (on_vq_purge) on_vq_purge(static_cast<NodeId>(inter));
-      } else {
-        q.push_back(c);
+      if (q.front().dst_node != dst) {
+        q.rotate();
+        continue;
       }
+      q.pop();
+      gauge_.remove(cell_capacity_);
+      ++dropped;
+      if (on_vq_purge) on_vq_purge(static_cast<NodeId>(inter));
     }
   }
-  auto& f = fq_[static_cast<std::size_t>(dst)];
+  auto& f = peers_[static_cast<std::size_t>(dst)].fq;
   dropped += static_cast<std::int64_t>(f.size());
   gauge_.remove(cell_capacity_ * static_cast<std::int64_t>(f.size()));
   f.clear();
@@ -196,22 +211,24 @@ std::int64_t Node::purge_dst(NodeId dst,
   retx_total_ -= static_cast<std::int64_t>(r.size());
   gauge_.remove(cell_capacity_ * static_cast<std::int64_t>(r.size()));
   r.clear();
+  rebuild_occupied();
   return dropped;
 }
 
 std::int64_t Node::purge_all_queues() {
   std::int64_t dropped = 0;
-  const auto clear_all = [&](std::vector<std::deque<Cell>>& qs) {
-    for (auto& q : qs) {
-      dropped += static_cast<std::int64_t>(q.size());
-      gauge_.remove(cell_capacity_ * static_cast<std::int64_t>(q.size()));
-      q.clear();
-    }
+  const auto clear = [&](FifoRing<Cell>& q) {
+    dropped += static_cast<std::int64_t>(q.size());
+    gauge_.remove(cell_capacity_ * static_cast<std::int64_t>(q.size()));
+    q.clear();
   };
-  clear_all(vq_);
-  clear_all(fq_);
-  clear_all(retx_);
+  for (PeerQueues& pq : peers_) {
+    clear(pq.vq);
+    clear(pq.fq);
+  }
+  for (FifoRing<Cell>& q : retx_) clear(q);
   retx_total_ = 0;
+  rebuild_occupied();
   return dropped;
 }
 
@@ -219,52 +236,33 @@ std::optional<Cell> Node::take_any_cell(Time now, Time cell_interval) {
   // Round-robin over flows so concurrent flows share the uplinks fairly
   // (this is the "ideal" per-flow service discipline).
   for (std::size_t tries = spray_ready_.size(); tries > 0; --tries) {
-    const std::size_t idx = spray_ready_.front();
-    spray_ready_.pop_front();
-    LocalFlow& f = local_[idx];
-    if (f.exhausted()) continue;  // drop from rotation
+    LocalFlow& f = local_[spray_ready_.front()];
+    if (f.exhausted()) {
+      spray_ready_.pop();  // drop from rotation
+      continue;
+    }
     if (f.pending(now, cell_interval) > 0) {
       Cell c = cut_cell(f);
-      // Rotation re-queue, matched by the pop_front above.
-      // sirius-lint: allow(hot-path-alloc)
-      if (!f.exhausted()) spray_ready_.push_back(idx);
+      if (f.exhausted()) {
+        spray_ready_.pop();
+      } else {
+        spray_ready_.rotate();
+      }
       return c;
     }
-    // Rotation re-queue, matched by the pop_front above.
-    // sirius-lint: allow(hot-path-alloc)
-    spray_ready_.push_back(idx);  // paced out; retry later
+    spray_ready_.rotate();  // paced out; retry later
   }
   return std::nullopt;
 }
 
-void Node::push_vq(NodeId intermediate, const Cell& c) {
-  vq_[static_cast<std::size_t>(intermediate)].push_back(c);
-  gauge_.add(cell_capacity_);
+void Node::rebuild_occupied() {
+  std::fill(occupied_.begin(), occupied_.end(), 0);
+  for (std::size_t p = 0; p < peers_.size(); ++p) {
+    if (!peers_[p].fq.empty() || !peers_[p].vq.empty()) {
+      mark_occupied(static_cast<NodeId>(p));
+    }
+  }
 }
-
-std::optional<Cell> Node::pop_vq(NodeId intermediate) {
-  auto& q = vq_[static_cast<std::size_t>(intermediate)];
-  if (q.empty()) return std::nullopt;
-  Cell c = q.front();
-  q.pop_front();
-  gauge_.remove(cell_capacity_);
-  return c;
-}
-
-void Node::push_fq(NodeId dst, const Cell& c) {
-  fq_[static_cast<std::size_t>(dst)].push_back(c);
-  gauge_.add(cell_capacity_);
-}
-
-std::optional<Cell> Node::pop_fq(NodeId dst) {
-  auto& q = fq_[static_cast<std::size_t>(dst)];
-  if (q.empty()) return std::nullopt;
-  Cell c = q.front();
-  q.pop_front();
-  gauge_.remove(cell_capacity_);
-  return c;
-}
-
 
 namespace {
 
@@ -288,37 +286,59 @@ Cell get_cell(ckpt::Reader& r) {
   return c;
 }
 
-void put_cell_queues(ckpt::Writer& w,
-                     const std::vector<std::deque<Cell>>& queues) {
-  w.u64(queues.size());
-  for (const auto& q : queues) {
+/// Writes the `n` cell queues `queue(0) .. queue(n - 1)`.
+template <typename QueueAt>
+void put_cell_queues(ckpt::Writer& w, std::size_t n, QueueAt&& queue) {
+  w.u64(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const FifoRing<Cell>& q = queue(d);
     w.u64(q.size());
-    for (const Cell& c : q) put_cell(w, c);
+    for (std::size_t i = 0; i < q.size(); ++i) put_cell(w, q[i]);
   }
 }
 
-bool get_cell_queues(ckpt::Reader& r, std::vector<std::deque<Cell>>* queues,
-                     const char* what) {
+/// Reads one cell queue per node into `queue(d)`. `per_dst` queues (FQ,
+/// retx) hold only cells addressed to their own index; a VQ may hold any
+/// destination.
+template <typename QueueAt>
+bool get_cell_queues(ckpt::Reader& r, std::size_t nodes, QueueAt&& queue,
+                     bool per_dst, const char* what) {
   const std::size_t n = r.count(8, what);
-  if (!r.ok() || n != queues->size()) {
+  if (!r.ok() || n != nodes) {
     r.fail(std::string(what) + " queue count does not match the node count");
     return false;
   }
-  for (auto& q : *queues) {
+  for (std::size_t d = 0; d < n; ++d) {
+    FifoRing<Cell>& q = queue(d);
     q.clear();
     const std::size_t m = r.count(24, what);
-    for (std::size_t i = 0; i < m; ++i) q.push_back(get_cell(r));
+    for (std::size_t i = 0; i < m; ++i) {
+      const Cell c = get_cell(r);
+      if (!r.ok()) return false;
+      const bool in_range = per_dst ? static_cast<std::size_t>(c.dst_node) == d
+                                    : c.dst_node >= 0 &&
+                                          static_cast<std::size_t>(
+                                              c.dst_node) < n;
+      if (!in_range) {
+        r.fail(std::string(what) + " queue holds a cell for the wrong "
+                                   "destination");
+        return false;
+      }
+      q.push(c);
+    }
   }
   return r.ok();
 }
 
-void put_index_deque(ckpt::Writer& w, const std::deque<std::size_t>& d) {
+void put_index_ring(ckpt::Writer& w, const FifoRing<std::size_t>& d) {
   w.u64(d.size());
-  for (const std::size_t v : d) w.u64(static_cast<std::uint64_t>(v));
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    w.u64(static_cast<std::uint64_t>(d[i]));
+  }
 }
 
-bool get_index_deque(ckpt::Reader& r, std::deque<std::size_t>* d,
-                     std::size_t bound, const char* what) {
+bool get_index_ring(ckpt::Reader& r, FifoRing<std::size_t>* d,
+                    std::size_t bound, const char* what) {
   d->clear();
   const std::size_t n = r.count(8, what);
   for (std::size_t i = 0; i < n; ++i) {
@@ -327,7 +347,7 @@ bool get_index_deque(ckpt::Reader& r, std::deque<std::size_t>* d,
       r.fail(std::string(what) + " index outside the LOCAL buffer");
       return false;
     }
-    d->push_back(static_cast<std::size_t>(v));
+    d->push(static_cast<std::size_t>(v));
   }
   return r.ok();
 }
@@ -348,13 +368,20 @@ void Node::serialize(ckpt::Writer& w) const {
     w.i64(f.moved_cells);
   }
   w.u64(per_dst_.size());
-  for (const auto& d : per_dst_) put_index_deque(w, d);
+  for (const auto& d : per_dst_) put_index_ring(w, d);
   w.u64(static_cast<std::uint64_t>(first_unfinished_));
   w.i64(unfinished_flows_);
-  put_index_deque(w, spray_ready_);
-  put_cell_queues(w, vq_);
-  put_cell_queues(w, fq_);
-  put_cell_queues(w, retx_);
+  put_index_ring(w, spray_ready_);
+  const std::size_t n = peers_.size();
+  put_cell_queues(w, n, [this](std::size_t d) -> const FifoRing<Cell>& {
+    return peers_[d].vq;
+  });
+  put_cell_queues(w, n, [this](std::size_t d) -> const FifoRing<Cell>& {
+    return peers_[d].fq;
+  });
+  put_cell_queues(w, n, [this](std::size_t d) -> const FifoRing<Cell>& {
+    return retx_[d];
+  });
   w.i64(retx_total_);
   gauge_.serialize(w);
 }
@@ -362,7 +389,8 @@ void Node::serialize(ckpt::Writer& w) const {
 bool Node::restore(ckpt::Reader& r) {
   if (!cc_.restore(r)) return false;
   const std::size_t n_local = r.count(8, "LOCAL flow list");
-  std::deque<LocalFlow> local;
+  std::vector<LocalFlow> local;
+  local.reserve(n_local);
   for (std::size_t i = 0; i < n_local && r.ok(); ++i) {
     LocalFlow f;
     f.id = r.i64();
@@ -389,16 +417,16 @@ bool Node::restore(ckpt::Reader& r) {
     r.fail("per-destination index count does not match the node count");
     return false;
   }
-  std::vector<std::deque<std::size_t>> per_dst(n_per_dst);
+  std::vector<FifoRing<std::size_t>> per_dst(n_per_dst);
   for (auto& d : per_dst) {
-    if (!get_index_deque(r, &d, local.size(), "per-destination index")) {
+    if (!get_index_ring(r, &d, local.size(), "per-destination index")) {
       return false;
     }
   }
   const std::uint64_t first_unfinished = r.u64();
   const std::int64_t unfinished = r.i64();
-  std::deque<std::size_t> spray;
-  if (!get_index_deque(r, &spray, local.size(), "spray rotation")) {
+  FifoRing<std::size_t> spray;
+  if (!get_index_ring(r, &spray, local.size(), "spray rotation")) {
     return false;
   }
   if (first_unfinished > local.size() || unfinished < 0 ||
@@ -411,17 +439,42 @@ bool Node::restore(ckpt::Reader& r) {
   first_unfinished_ = static_cast<std::size_t>(first_unfinished);
   unfinished_flows_ = unfinished;
   spray_ready_ = std::move(spray);
-  if (!get_cell_queues(r, &vq_, "virtual") ||
-      !get_cell_queues(r, &fq_, "forward") ||
-      !get_cell_queues(r, &retx_, "retransmission")) {
+  const std::size_t n = peers_.size();
+  if (!get_cell_queues(
+          r, n,
+          [this](std::size_t d) -> FifoRing<Cell>& { return peers_[d].vq; },
+          false, "virtual") ||
+      !get_cell_queues(
+          r, n,
+          [this](std::size_t d) -> FifoRing<Cell>& { return peers_[d].fq; },
+          true, "forward") ||
+      !get_cell_queues(
+          r, n, [this](std::size_t d) -> FifoRing<Cell>& { return retx_[d]; },
+          true, "retransmission")) {
     return false;
   }
+  rebuild_occupied();
+  std::int64_t retx_cells = 0;
+  std::int64_t cells = 0;
+  for (std::size_t d = 0; d < n; ++d) {
+    retx_cells += static_cast<std::int64_t>(retx_[d].size());
+    cells += static_cast<std::int64_t>(peers_[d].vq.size() +
+                                       peers_[d].fq.size());
+  }
+  cells += retx_cells;
   retx_total_ = r.i64();
-  if (r.ok() && retx_total_ < 0) {
-    r.fail("retransmission total negative");
+  if (r.ok() && retx_total_ != retx_cells) {
+    // epoch_boundary skips a node's request build on retx_total() == 0, so
+    // a total that disagrees with the queues would strand or invent cells.
+    r.fail("retransmission total does not match the retransmission queues");
     return false;
   }
-  return gauge_.restore(r);
+  if (!gauge_.restore(r)) return false;
+  if (gauge_.current() != cell_capacity_ * cells) {
+    r.fail("queue occupancy gauge does not match the queued cells");
+    return false;
+  }
+  return true;
 }
 
 }  // namespace sirius::node

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "common/thread_safety.hpp"
 #include "common/time.hpp"
 #include "node/cell.hpp"
+#include "node/fifo_ring.hpp"
 #include "stats/occupancy.hpp"
 
 namespace sirius::node {
@@ -49,6 +49,27 @@ struct LocalFlow {
   [[nodiscard]] bool exhausted() const { return moved_cells >= total_cells; }
 };
 
+/// Working storage for Node::pending_cell_dsts, owned by the caller and
+/// reused across nodes and epochs, so building the request list stops
+/// allocating once it has seen its peak size. Each source server is one
+/// bucket; a bucket's flows form a circular list that the round robin
+/// walks, unlinking a flow once its pending cells are listed.
+struct PendingScratch {
+  struct Entry {
+    NodeId dst = 0;
+    std::int64_t left = 0;   ///< pending cells not yet listed
+    std::uint32_t next = 0;  ///< next entry of the same bucket
+  };
+  struct Bucket {
+    std::int32_t server = 0;
+    std::uint32_t cur = 0;   ///< entry served next (the bucket's front)
+    std::uint32_t prev = 0;  ///< entry linking to `cur` (the bucket's back)
+    std::uint32_t size = 0;
+  };
+  std::vector<Entry> entries;
+  std::vector<Bucket> buckets;
+};
+
 // All mutable Node state belongs to the slot-synchronous core: every
 // accessor below requires common::sim_slot_role, so when the slot loop is
 // sharded (ROADMAP item 2) the compiler enforces that only the owning
@@ -71,14 +92,16 @@ class Node {
   /// Registers a newly arrived flow in LOCAL.
   void add_flow(const LocalFlow& f) SIRIUS_REQUIRES(common::sim_slot_role);
 
-  /// Destinations of cells pending in LOCAL, truncated to `limit` entries;
-  /// input to cc::RequestGrantNode::build_requests. Cells are interleaved
-  /// with two-level round-robin fairness — across source servers first,
-  /// then across each server's flows — modelling the §4.3 credit-based
+  /// Writes to `*out` the destinations of cells pending in LOCAL,
+  /// truncated to `limit` entries; input to
+  /// cc::RequestGrantNode::build_requests. Cells are interleaved with
+  /// two-level round-robin fairness — across source servers first, then
+  /// across each server's flows — modelling the §4.3 credit-based
   /// server->rack flow control, which gives every server an equal share of
   /// the LOCAL buffer regardless of how many elephants its neighbours run.
-  std::vector<NodeId> pending_cell_dsts(Time now, Time cell_interval,
-                                        std::size_t limit) const
+  void pending_cell_dsts(Time now, Time cell_interval, std::size_t limit,
+                         PendingScratch* scratch,
+                         std::vector<NodeId>* out) const
       SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
 
   /// True if any flow still has cells not yet moved out of LOCAL
@@ -151,12 +174,12 @@ class Node {
       SIRIUS_REQUIRES(common::sim_slot_role);
   [[nodiscard]] bool vq_empty(NodeId intermediate) const
       SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return vq_[static_cast<std::size_t>(intermediate)].empty();
+    return peers_[static_cast<std::size_t>(intermediate)].vq.empty();
   }
   [[nodiscard]] std::int32_t vq_depth(NodeId intermediate) const
       SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
     return static_cast<std::int32_t>(
-        vq_[static_cast<std::size_t>(intermediate)].size());
+        peers_[static_cast<std::size_t>(intermediate)].vq.size());
   }
 
   // ---- forward queues per destination (intermediate role) ---------------
@@ -167,12 +190,24 @@ class Node {
       SIRIUS_REQUIRES(common::sim_slot_role);
   [[nodiscard]] bool fq_empty(NodeId dst) const
       SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return fq_[static_cast<std::size_t>(dst)].empty();
+    return peers_[static_cast<std::size_t>(dst)].fq.empty();
   }
   [[nodiscard]] std::int32_t fq_depth(NodeId dst) const
       SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
     return static_cast<std::int32_t>(
-        fq_[static_cast<std::size_t>(dst)].size());
+        peers_[static_cast<std::size_t>(dst)].fq.size());
+  }
+
+  // ---- occupancy bitmap (transmit) ---------------------------------------
+
+  /// True iff the FQ or the VQ towards `peer` holds a cell, i.e. a
+  /// request/grant transmit to `peer` has something to send. One bit per
+  /// peer, kept current by every push and pop and rebuilt by the bulk
+  /// queue surgery and restore; derived state, never serialized.
+  [[nodiscard]] bool occupied(NodeId peer) const
+      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+    const auto p = static_cast<std::size_t>(peer);
+    return ((occupied_[p / 64] >> (p % 64)) & 1u) != 0;
   }
 
   // ---- accounting --------------------------------------------------------
@@ -181,7 +216,7 @@ class Node {
   /// lets auditors sweep every (node, dst) pair without knowing the config.
   [[nodiscard]] std::size_t queue_span() const
       SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return fq_.size();
+    return peers_.size();
   }
 
   /// Peak data held in this node's VQs + FQs (Fig. 10c).
@@ -206,30 +241,83 @@ class Node {
   LocalFlow* oldest_pending_flow_for(NodeId dst, Time now, Time cell_interval)
       SIRIUS_REQUIRES(common::sim_slot_role);
   Cell cut_cell(LocalFlow& f) SIRIUS_REQUIRES(common::sim_slot_role);
+  void mark_occupied(NodeId peer) SIRIUS_REQUIRES(common::sim_slot_role) {
+    const auto p = static_cast<std::size_t>(peer);
+    occupied_[p / 64] |= std::uint64_t{1} << (p % 64);
+  }
+  /// Clears `peer`'s bit once both of its queues are empty.
+  void update_occupied(NodeId peer) SIRIUS_REQUIRES(common::sim_slot_role) {
+    const auto p = static_cast<std::size_t>(peer);
+    if (peers_[p].fq.empty() && peers_[p].vq.empty()) {
+      occupied_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
+    }
+  }
+  void rebuild_occupied() SIRIUS_REQUIRES(common::sim_slot_role);
 
   NodeId self_;
   cc::RequestGrantNode cc_ SIRIUS_GUARDED_BY(common::sim_slot_role);
   DataSize cell_capacity_;
 
   // FIFO by arrival; never popped
-  std::deque<LocalFlow> local_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<LocalFlow> local_ SIRIUS_GUARDED_BY(common::sim_slot_role);
   // indices into local_
-  std::vector<std::deque<std::size_t>> per_dst_
+  std::vector<FifoRing<std::size_t>> per_dst_
       SIRIUS_GUARDED_BY(common::sim_slot_role);
   // FIFO cursor past exhausted flows
   std::size_t first_unfinished_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
   std::int64_t unfinished_flows_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
   // RR rotation for take_any_cell
-  std::deque<std::size_t> spray_ready_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  FifoRing<std::size_t> spray_ready_ SIRIUS_GUARDED_BY(common::sim_slot_role);
 
-  std::vector<std::deque<Cell>> vq_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::vector<std::deque<Cell>> fq_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  // The FQ and VQ towards one peer share a cache line: transmit pops one
+  // and tests both for the occupancy bit.
+  struct alignas(64) PeerQueues {
+    FifoRing<Cell> fq;
+    FifoRing<Cell> vq;
+  };
+  std::vector<PeerQueues> peers_ SIRIUS_GUARDED_BY(common::sim_slot_role);
   // per destination, served first
-  std::vector<std::deque<Cell>> retx_
+  std::vector<FifoRing<Cell>> retx_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  // bit p: peers_[p] holds a cell
+  std::vector<std::uint64_t> occupied_
       SIRIUS_GUARDED_BY(common::sim_slot_role);
   std::int64_t retx_total_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
   stats::ByteGauge gauge_ SIRIUS_GUARDED_BY(common::sim_slot_role);
 };
+
+// The queue operations are the transmit kernel's per-cell work, defined
+// here so the slot loop inlines them.
+
+inline void Node::push_vq(NodeId intermediate, const Cell& c) {
+  peers_[static_cast<std::size_t>(intermediate)].vq.push(c);
+  mark_occupied(intermediate);
+  gauge_.add(cell_capacity_);
+}
+
+inline std::optional<Cell> Node::pop_vq(NodeId intermediate) {
+  auto& q = peers_[static_cast<std::size_t>(intermediate)].vq;
+  if (q.empty()) return std::nullopt;
+  Cell c = q.front();
+  q.pop();
+  update_occupied(intermediate);
+  gauge_.remove(cell_capacity_);
+  return c;
+}
+
+inline void Node::push_fq(NodeId dst, const Cell& c) {
+  peers_[static_cast<std::size_t>(dst)].fq.push(c);
+  mark_occupied(dst);
+  gauge_.add(cell_capacity_);
+}
+
+inline std::optional<Cell> Node::pop_fq(NodeId dst) {
+  auto& q = peers_[static_cast<std::size_t>(dst)].fq;
+  if (q.empty()) return std::nullopt;
+  Cell c = q.front();
+  q.pop();
+  update_occupied(dst);
+  gauge_.remove(cell_capacity_);
+  return c;
+}
 
 }  // namespace sirius::node

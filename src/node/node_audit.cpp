@@ -27,6 +27,18 @@ void audit_queue_bound(const Node& n, std::int32_t queue_limit,
   }
 }
 
+void audit_occupancy(const Node& n)
+    SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  for (NodeId p = 0; p < static_cast<NodeId>(n.queue_span()); ++p) {
+    const bool queued = !n.fq_empty(p) || !n.vq_empty(p);
+    SIRIUS_INVARIANT(n.occupied(p) == queued,
+                     "node %d: occupancy bit for peer %d is %d but its "
+                     "FQ/VQ hold %d + %d cells",
+                     n.self(), p, n.occupied(p) ? 1 : 0, n.fq_depth(p),
+                     n.vq_depth(p));
+  }
+}
+
 void audit_reorder(const ReorderBuffer& rb) {
   SIRIUS_INVARIANT(rb.next_expected() >= 0 &&
                        rb.next_expected() <= rb.total_cells(),

@@ -1,5 +1,6 @@
-// Node auditors: the §4.3 relay-queue bound and the reorder-buffer
-// structural check, audited over live node/ types.
+// Node auditors: the §4.3 relay-queue bound, the occupancy bitmap that
+// transmit consults, and the reorder-buffer structural check, audited over
+// live node/ types.
 //
 // Lives in node/ (not check/) so the check layer never depends upward on
 // the modules it audits: check/ owns the registry and the structural
@@ -25,6 +26,12 @@ class ReorderBuffer;
 /// (see SiriusSim::transmit_slot).
 void audit_queue_bound(const Node& n, std::int32_t queue_limit,
                        std::int32_t bound)
+    SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+
+/// Every bit of the node's occupancy bitmap equals "the FQ or the VQ
+/// towards that peer holds a cell": a stale clear bit would strand a queued
+/// cell in a sparse transmit, a stale set bit only costs a wasted visit.
+void audit_occupancy(const Node& n)
     SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
 
 /// Structural consistency of a live reorder buffer.

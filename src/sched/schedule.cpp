@@ -144,6 +144,22 @@ bool CyclicSchedule::restore(ckpt::Reader& r) {
   return true;
 }
 
+void PeerTable::build(const CyclicSchedule& sched, std::int32_t nodes) {
+  slots_per_round_ = sched.slots_per_round();
+  uplinks_ = sched.uplinks();
+  row_size_ =
+      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(uplinks_);
+  peers_.resize(static_cast<std::size_t>(slots_per_round_) * row_size_);
+  std::size_t i = 0;
+  for (std::int32_t t = 0; t < slots_per_round_; ++t) {
+    for (NodeId s = 0; s < nodes; ++s) {
+      for (UplinkId u = 0; u < uplinks_; ++u) {
+        peers_[i++] = sched.peer_tx(s, u, t);
+      }
+    }
+  }
+}
+
 bool physically_contention_free(const topo::SiriusTopology& topo,
                                 const CyclicSchedule& sched) {
   // For each slot of one round, mark every (grating, output port) that

@@ -123,6 +123,43 @@ class CyclicSchedule final {
       SIRIUS_GUARDED_BY(common::sim_slot_role);
 };
 
+/// The schedule's peer map flattened for the slot kernel: entry
+/// [slot_in_round][node][uplink] holds CyclicSchedule::peer_tx for nodes
+/// 0 .. nodes-1, so a slot reads one contiguous row instead of doing two
+/// modulos and a membership lookup per (node, uplink). Derived state:
+/// rebuild it from the schedule whenever the schedule changes.
+class PeerTable final {
+ public:
+  void build(const CyclicSchedule& sched, std::int32_t nodes)
+      SIRIUS_REQUIRES(common::sim_slot_role);
+
+  /// The [node][uplink] row for schedule-relative slot `t` (t >= 0).
+  [[nodiscard]] const NodeId* row(std::int64_t t) const
+      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+    return peers_.data() +
+           static_cast<std::size_t>(t % slots_per_round_) * row_size_;
+  }
+  /// Same as CyclicSchedule::peer_tx(src, u, t) for the schedule it was
+  /// built from.
+  [[nodiscard]] NodeId peer(NodeId src, UplinkId u, std::int64_t t) const
+      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+    return row(t)[static_cast<std::size_t>(src) *
+                      static_cast<std::size_t>(uplinks_) +
+                  static_cast<std::size_t>(u)];
+  }
+  [[nodiscard]] std::int32_t uplinks() const
+      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+    return uplinks_;
+  }
+
+ private:
+  std::vector<NodeId> peers_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::int32_t slots_per_round_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 1;
+  std::int32_t uplinks_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  // nodes * uplinks entries per slot
+  std::size_t row_size_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+};
+
 /// Maps the abstract schedule onto physical wavelengths for a topology and
 /// verifies grating-level contention-freeness. Returns true if, at every
 /// slot of a round, every populated AWGR output port receives light from

@@ -367,6 +367,16 @@ class SiriusSim {
       SIRIUS_GUARDED_BY(common::sim_slot_role);
   std::int64_t prop_slots_;
   Time nic_cell_time_;
+  // sched_'s peer map; rebuilt at construction, swap and restore, never
+  // serialized.
+  sched::PeerTable peer_table_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  // Epoch-cc scratch, reused by every node every epoch.
+  node::PendingScratch pending_scratch_
+      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<NodeId> pending_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<cc::Grant> grants_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<cc::RequestGrantNode::OutgoingRequest> requests_
+      SIRIUS_GUARDED_BY(common::sim_slot_role);
 
   // next workload flow to inject
   std::size_t next_flow_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;

@@ -11,8 +11,11 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/io.hpp"
 #include "common/time.hpp"
+#include "node/node.hpp"
 #include "sim/sirius_sim.hpp"
+#include "telemetry/hub.hpp"
 #include "workload/generator.hpp"
 
 namespace sirius {
@@ -167,6 +170,64 @@ TEST(CkptSim, RestoreSurvivesArbitraryByteFlips) {
   }
 }
 
+// A CRC-valid snapshot can still describe an impossible node: the node's
+// retransmission total or occupancy gauge disagreeing with the cells its
+// queues hold. Both are rejected. The cases patch node 0's fields in a
+// fresh snapshot and re-frame the payload, so the CRC is valid.
+TEST(CkptSim, CorruptionMatrixRejectsInconsistentNodeCounters) {
+  const auto cfg = small_net();
+  const auto w = make_wl(cfg, 0.3, 50);
+  const std::string snap = sim::SiriusSim(cfg, w).checkpoint_state();
+
+  // A fresh node serializes like every node of a fresh sim; its last 24
+  // bytes are the retransmission total and the gauge (current, peak).
+  node::Node fresh(0,
+                   cc::RequestGrantConfig{cfg.racks, cfg.queue_limit,
+                                          cfg.spread},
+                   cfg.slots.cell_size());
+  ckpt::Writer nw;
+  fresh.serialize(nw);
+  const std::size_t at = snap.find(nw.data());
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t retx_total = at + nw.data().size() - 24;
+  const std::size_t gauge = at + nw.data().size() - 16;
+
+  const auto patched = [&snap](std::size_t pos,
+                               std::vector<std::int64_t> values) {
+    ckpt::Writer v;
+    for (const std::int64_t x : values) v.i64(x);
+    std::string p = snap;
+    p.replace(pos, v.data().size(), v.data());
+    return p;
+  };
+  const std::int64_t cell = cfg.slots.cell_size().in_bytes();
+  struct Case {
+    const char* what;
+    std::string payload;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"retx total without retx cells", patched(retx_total, {1}),
+       "retransmission total"},
+      {"gauge holding a phantom cell", patched(gauge, {cell, cell}),
+       "gauge"},
+  };
+  for (const Case& c : cases) {
+    const ckpt::LoadResult framed = ckpt::parse(ckpt::frame(c.payload));
+    ASSERT_TRUE(framed.ok()) << c.what << ": " << framed.message;
+    sim::SiriusSim target(cfg, w);
+    std::string error;
+    EXPECT_FALSE(target.restore_state(framed.payload, &error)) << c.what;
+    EXPECT_NE(error.find(c.expect), std::string::npos)
+        << c.what << ": " << error;
+  }
+  // The unpatched payload still restores, so the cases fail for the
+  // patched fields alone.
+  sim::SiriusSim ok(cfg, w);
+  std::string error;
+  EXPECT_TRUE(ok.restore_state(snap, &error)) << error;
+}
+
 TEST(CkptSim, RestoreRejectsMismatchedWorkload) {
   const auto cfg = small_net();
   const auto w = make_wl(cfg, 0.3, 50);
@@ -282,6 +343,70 @@ TEST(CkptDeterminism, ResumeMidGreyFaultIsBitIdentical) {
     EXPECT_EQ(rb.per_flow_completion[i], ra.per_flow_completion[i])
         << "flow " << i << " completion time diverged";
   }
+}
+
+// The slot kernel reads peers from a table derived from the schedule. A
+// snapshot taken after a fault-driven schedule swap restores into a sim
+// built over the full membership, so the restore must rebuild that table
+// (and the rejoin swap must rebuild it again) for the resumed run to match
+// the straight one.
+TEST(CkptDeterminism, ResumeAfterScheduleSwapIsBitIdentical) {
+  auto cfg_a = faulted_net();
+  cfg_a.faults = ctrl::FaultPlan{};
+  cfg_a.faults.fail_rack(3, Time::us(40), Time::us(200));
+  const auto w = make_wl(cfg_a, 0.5, 400);
+
+  telemetry::Hub hub;
+  cfg_a.telemetry = &hub;
+  const telemetry::Counter* swaps = nullptr;  // registered by the sim
+  struct Tagged {
+    Snap snap;
+    std::int64_t swaps = 0;
+  };
+  std::vector<Tagged> snaps_a;
+  cfg_a.checkpoint_every = Time::us(10);
+  cfg_a.checkpoint_sink = [&](std::int64_t slot, Time at,
+                              const std::string& payload) {
+    snaps_a.push_back({{slot, at, payload}, swaps->value()});
+  };
+  sim::SiriusSim a(cfg_a, w);
+  swaps = hub.metrics().find_counter("failover.schedule_swaps");
+  ASSERT_NE(swaps, nullptr);
+  const auto ra = a.run();
+  ASSERT_EQ(ra.failover.schedule_swaps, 2) << "out and back in";
+
+  // The first snapshot taken while the rack is swapped out.
+  std::size_t idx = snaps_a.size();
+  for (std::size_t i = 0; i < snaps_a.size(); ++i) {
+    if (snaps_a[i].swaps == 1) {
+      idx = i;
+      break;
+    }
+  }
+  ASSERT_LT(idx, snaps_a.size());
+
+  auto cfg_b = faulted_net();
+  cfg_b.faults = cfg_a.faults;
+  std::vector<Snap> snaps_b;
+  cfg_b.checkpoint_every = Time::us(10);
+  cfg_b.checkpoint_sink = [&snaps_b](std::int64_t slot, Time at,
+                                     const std::string& payload) {
+    snaps_b.push_back({slot, at, payload});
+  };
+  sim::SiriusSim b(cfg_b, w);
+  std::string error;
+  ASSERT_TRUE(b.restore_state(snaps_a[idx].snap.payload, &error)) << error;
+  const auto rb = b.run();
+
+  ASSERT_EQ(snaps_b.size(), snaps_a.size() - idx - 1);
+  for (std::size_t i = 0; i < snaps_b.size(); ++i) {
+    EXPECT_EQ(snaps_b[i].payload, snaps_a[idx + 1 + i].snap.payload)
+        << "state diverged by checkpoint at slot " << snaps_b[i].slot;
+  }
+  EXPECT_EQ(rb.slots_simulated, ra.slots_simulated);
+  EXPECT_EQ(rb.cells_delivered, ra.cells_delivered);
+  EXPECT_EQ(rb.failover.schedule_swaps, ra.failover.schedule_swaps);
+  EXPECT_EQ(rb.per_flow_completion, ra.per_flow_completion);
 }
 
 TEST(CkptDeterminism, ForkReseedDivergesAndReproduces) {

@@ -1,7 +1,12 @@
 // Unit tests for node/: cells, LOCAL buffer semantics, queues, reordering.
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "ckpt/io.hpp"
+#include "common/rng.hpp"
 #include "node/cell.hpp"
+#include "node/fifo_ring.hpp"
 #include "node/node.hpp"
 #include "node/reorder_buffer.hpp"
 
@@ -13,6 +18,13 @@ const Time kInject = Time::ns(90);  // one cell per 90 ns at 50 Gbps
 
 cc::RequestGrantConfig cc_cfg() { return cc::RequestGrantConfig{8, 4}; }
 
+std::vector<NodeId> pending_dsts(const Node& n, Time now, std::size_t limit) {
+  PendingScratch scratch;
+  std::vector<NodeId> out;
+  n.pending_cell_dsts(now, kInject, limit, &scratch, &out);
+  return out;
+}
+
 LocalFlow flow(FlowId id, NodeId dst, DataSize size, Time arrival) {
   LocalFlow f;
   f.id = id;
@@ -22,6 +34,114 @@ LocalFlow flow(FlowId id, NodeId dst, DataSize size, Time arrival) {
   f.arrival = arrival;
   f.total_cells = cells_for(size, kCell);
   return f;
+}
+
+Cell cell_no(std::int32_t k) {
+  Cell c;
+  c.flow = 1000 + k;
+  c.seq = k;
+  c.dst_node = k % 7;
+  c.dst_server = k % 13;
+  c.payload_bytes = 562 - k % 5;
+  c.retries = k % 3;
+  return c;
+}
+
+void write_cell(ckpt::Writer& w, const Cell& c) {
+  w.i64(c.flow);
+  w.i32(c.seq);
+  w.i32(c.dst_node);
+  w.i32(c.dst_server);
+  w.i32(c.payload_bytes);
+  w.i32(c.retries);
+}
+
+TEST(FifoRing, KeepsFifoOrderAcrossWrapAndGrowth) {
+  // Random pushes and pops against a std::deque reference: the head wraps
+  // around the power-of-two storage many times and the storage doubles
+  // with elements both straddling the wrap and not.
+  FifoRing<Cell> ring;
+  std::deque<Cell> ref;
+  Rng rng(3);
+  std::int32_t next = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const bool push = ref.empty() || rng.below(100) < (step < 2500 ? 55 : 45);
+    if (push) {
+      ring.push(cell_no(next));
+      ref.push_back(cell_no(next));
+      ++next;
+    } else if (rng.below(4) == 0) {
+      ring.rotate();
+      ref.push_back(ref.front());
+      ref.pop_front();
+    } else {
+      ASSERT_EQ(ring.front().flow, ref.front().flow);
+      ring.pop();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(ring[i].flow, ref[i].flow) << "step " << step << " index " << i;
+    }
+  }
+  EXPECT_GT(ring.capacity(), 4u);  // it grew past the first allocation
+}
+
+TEST(FifoRing, SerializesLikeTheDeque) {
+  // Checkpoints write a queue as its count then its cells front to back;
+  // the ring must produce the same bytes as the deque it replaced, also
+  // after wrap-around.
+  FifoRing<Cell> ring;
+  std::deque<Cell> ref;
+  for (std::int32_t k = 0; k < 6; ++k) {
+    ring.push(cell_no(k));
+    ref.push_back(cell_no(k));
+  }
+  for (int k = 0; k < 5; ++k) {
+    ring.pop();
+    ref.pop_front();
+  }
+  for (std::int32_t k = 6; k < 12; ++k) {
+    ring.push(cell_no(k));
+    ref.push_back(cell_no(k));
+  }
+  ckpt::Writer a;
+  a.u64(ring.size());
+  for (std::size_t i = 0; i < ring.size(); ++i) write_cell(a, ring[i]);
+  ckpt::Writer b;
+  b.u64(ref.size());
+  for (const Cell& c : ref) write_cell(b, c);
+  EXPECT_EQ(a.data(), b.data());
+}
+
+TEST(FifoRing, ClearKeepsStorage) {
+  FifoRing<std::size_t> ring;
+  EXPECT_EQ(ring.capacity(), 0u);  // nothing allocated until the first push
+  for (std::size_t k = 0; k < 9; ++k) ring.push(k);
+  const std::size_t cap = ring.capacity();
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap);
+  ring.push(42);
+  EXPECT_EQ(ring.front(), 42u);
+}
+
+TEST(Node, OccupancyTracksForwardAndVirtualQueues) {
+  Node n(0, cc_cfg(), kCell);
+  EXPECT_FALSE(n.occupied(3));
+  n.push_vq(3, cell_no(1));
+  n.push_fq(3, cell_no(2));
+  EXPECT_TRUE(n.occupied(3));
+  ASSERT_TRUE(n.pop_fq(3).has_value());
+  EXPECT_TRUE(n.occupied(3));  // the VQ still holds a cell
+  ASSERT_TRUE(n.pop_vq(3).has_value());
+  EXPECT_FALSE(n.occupied(3));
+  n.push_vq(5, cell_no(3));
+  EXPECT_EQ(n.drain_vq_to_retx(5), 1);
+  EXPECT_FALSE(n.occupied(5));  // retx cells are sent on grants, not bits
+  n.push_fq(6, cell_no(4));
+  EXPECT_EQ(n.purge_all_queues(), 2);
+  EXPECT_FALSE(n.occupied(6));
 }
 
 TEST(CellMath, CellsForAndPayload) {
@@ -49,12 +169,12 @@ TEST(Node, PendingDstsRoundRobinAcrossFlows) {
   n.add_flow(flow(0, 3, DataSize::bytes(562 * 2), Time::zero()));
   n.add_flow(flow(1, 5, DataSize::bytes(562), Time::zero()));
   // One cell per flow first (credit-based fairness), then the remainder.
-  const auto all = n.pending_cell_dsts(Time::us(1), kInject, 100);
+  const auto all = pending_dsts(n, Time::us(1), 100);
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], 3);
   EXPECT_EQ(all[1], 5);
   EXPECT_EQ(all[2], 3);
-  EXPECT_EQ(n.pending_cell_dsts(Time::us(1), kInject, 2).size(), 2u);
+  EXPECT_EQ(pending_dsts(n, Time::us(1), 2).size(), 2u);
 }
 
 TEST(Node, PendingDstsFairAcrossServers) {
@@ -67,7 +187,7 @@ TEST(Node, PendingDstsFairAcrossServers) {
   mouse.src_server = 2;
   n.add_flow(elephant);
   n.add_flow(mouse);
-  const auto dsts = n.pending_cell_dsts(Time::us(100), kInject, 6);
+  const auto dsts = pending_dsts(n, Time::us(100), 6);
   ASSERT_EQ(dsts.size(), 6u);
   // Alternating until the mouse runs out: 3,5,3,5,3,3.
   EXPECT_EQ(dsts[0], 3);
@@ -82,8 +202,8 @@ TEST(Node, PendingRespectsInjectionPacing) {
   Node n(0, cc_cfg(), kCell);
   n.add_flow(flow(0, 3, DataSize::bytes(562 * 100), Time::zero()));
   // At t=0 only the first cell has crossed the server link.
-  EXPECT_EQ(n.pending_cell_dsts(Time::zero(), kInject, 100).size(), 1u);
-  EXPECT_EQ(n.pending_cell_dsts(Time::ns(450), kInject, 100).size(), 6u);
+  EXPECT_EQ(pending_dsts(n, Time::zero(), 100).size(), 1u);
+  EXPECT_EQ(pending_dsts(n, Time::ns(450), 100).size(), 6u);
 }
 
 TEST(Node, TakeCellForCutsInFifoOrderWithSeqs) {

@@ -110,6 +110,46 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(9, 2), std::make_tuple(3, 1),
                       std::make_tuple(100, 7)));
 
+// The slot kernel reads peers from the flattened table, so it must agree
+// with peer_tx at every (slot, node, uplink), including idle padding and
+// the non-members of an alive-set schedule, for any slot beyond the first
+// round too.
+void expect_table_matches(const CyclicSchedule& s, std::int32_t nodes) {
+  PeerTable table;
+  table.build(s, nodes);
+  ASSERT_EQ(table.uplinks(), s.uplinks());
+  for (std::int64_t t = 0; t < 3 * s.slots_per_round(); ++t) {
+    for (NodeId n = 0; n < nodes; ++n) {
+      for (UplinkId u = 0; u < s.uplinks(); ++u) {
+        ASSERT_EQ(table.peer(n, u, t), s.peer_tx(n, u, t))
+            << "slot " << t << " node " << n << " uplink " << u;
+      }
+    }
+  }
+}
+
+TEST(PeerTable, MatchesPeerTxOnFullSchedule) {
+  expect_table_matches(CyclicSchedule(16, 6), 16);  // 3 padding slots
+  expect_table_matches(CyclicSchedule(128, 12), 128);
+}
+
+TEST(PeerTable, MatchesPeerTxOnMemberSchedule) {
+  // Nodes 2, 5 and 9 of a 12-node network are out of the schedule.
+  expect_table_matches(CyclicSchedule({0, 1, 3, 4, 6, 7, 8, 10, 11}, 3), 12);
+}
+
+TEST(PeerTable, RebuildFollowsTheSchedule) {
+  PeerTable table;
+  table.build(CyclicSchedule(8, 2), 8);
+  const CyclicSchedule smaller({0, 1, 2, 4, 5, 6, 7}, 2);
+  table.build(smaller, 8);
+  for (NodeId n = 0; n < 8; ++n) {
+    for (UplinkId u = 0; u < 2; ++u) {
+      EXPECT_EQ(table.peer(n, u, 1), smaller.peer_tx(n, u, 1));
+    }
+  }
+}
+
 TEST(PhysicalSchedule, ContentionFreeOnBlockTopology) {
   // N divisible into blocks, one uplink per block: the strided schedule
   // maps onto gratings without collisions.
