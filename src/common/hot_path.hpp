@@ -4,8 +4,7 @@
 // the SiriusSim transmit/land/deliver loop, the Node VOQ enqueue/dequeue,
 // the cc RequestGrant grant path, the CyclicSchedule lookup — runs on a
 // budget where a single heap allocation or virtual dispatch is visible in
-// throughput. ROADMAP item 2 will rewrite that code as a sharded
-// structure-of-arrays kernel, which is only tractable if the hot set is
+// throughput. Keeping the kernel fast is only tractable if the hot set is
 // statically known and statically cheap.
 //
 // Marking a function head SIRIUS_HOT declares it a hot-path entry point.

@@ -83,8 +83,9 @@ class EsnFluidSim {
   Time measure_end_;
 
   // recompute_rates() scratch, owned by the solver instance so the
-  // water-filling pass carries no function-static state (each future shard
-  // gets its own solver, so shards never meet through these).
+  // water-filling pass carries no function-static state: one process runs
+  // many sims (sirius_cli fork/bisect, gtest), and these must not leak
+  // between them.
   std::vector<double> scratch_cap_;
   std::vector<std::int32_t> scratch_cnt_;
   std::vector<std::vector<std::int32_t>> scratch_members_;

@@ -18,7 +18,6 @@
 
 #include "cc/request_grant.hpp"
 #include "common/hot_path.hpp"
-#include "common/thread_safety.hpp"
 #include "common/time.hpp"
 #include "node/cell.hpp"
 #include "node/fifo_ring.hpp"
@@ -70,27 +69,18 @@ struct PendingScratch {
   std::vector<Bucket> buckets;
 };
 
-// All mutable Node state belongs to the slot-synchronous core: every
-// accessor below requires common::sim_slot_role, so when the slot loop is
-// sharded (ROADMAP item 2) the compiler enforces that only the owning
-// shard's worker touches this node's queues.
 class Node {
  public:
   Node(NodeId self, const cc::RequestGrantConfig& cc_cfg, DataSize cell_capacity);
 
   [[nodiscard]] NodeId self() const { return self_; }
-  cc::RequestGrantNode& cc() SIRIUS_REQUIRES(common::sim_slot_role) {
-    return cc_;
-  }
-  const cc::RequestGrantNode& cc() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return cc_;
-  }
+  cc::RequestGrantNode& cc() { return cc_; }
+  const cc::RequestGrantNode& cc() const { return cc_; }
 
   // ---- LOCAL buffer (source role) ---------------------------------------
 
   /// Registers a newly arrived flow in LOCAL.
-  void add_flow(const LocalFlow& f) SIRIUS_REQUIRES(common::sim_slot_role);
+  void add_flow(const LocalFlow& f);
 
   /// Writes to `*out` the destinations of cells pending in LOCAL,
   /// truncated to `limit` entries; input to
@@ -101,47 +91,37 @@ class Node {
   /// the LOCAL buffer regardless of how many elephants its neighbours run.
   void pending_cell_dsts(Time now, Time cell_interval, std::size_t limit,
                          PendingScratch* scratch,
-                         std::vector<NodeId>* out) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                         std::vector<NodeId>* out) const;
 
   /// True if any flow still has cells not yet moved out of LOCAL
   /// (regardless of injection pacing).
-  [[nodiscard]] bool has_unfinished_flows() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] bool has_unfinished_flows() const {
     return unfinished_flows_ > 0;
   }
 
   /// On grant receipt: takes the oldest pending cell for `dst` out of
   /// LOCAL. Returns nullopt if no such cell exists (grant is released).
   SIRIUS_HOT std::optional<Cell> take_cell_for(NodeId dst, Time now,
-                                               Time cell_interval)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+                                               Time cell_interval);
 
   /// Takes the oldest pending cell for *any* destination (ideal /
   /// scheduler-less spraying mode). Returns nullopt when LOCAL is empty.
-  SIRIUS_HOT std::optional<Cell> take_any_cell(Time now, Time cell_interval)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  SIRIUS_HOT std::optional<Cell> take_any_cell(Time now, Time cell_interval);
 
   /// Aborts every LOCAL flow matching `pred` (its destination died, or this
   /// node itself fail-stopped): remaining cells are removed from LOCAL
   /// without ever being injected. Returns the ids of the aborted flows.
   std::vector<FlowId> abort_flows_where(
-      const std::function<bool(const LocalFlow&)>& pred)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+      const std::function<bool(const LocalFlow&)>& pred);
 
   // ---- retransmission queue (source role, §4.5 loss recovery) -----------
 
   /// Re-queues a timed-out granted cell for retransmission. Retx cells are
   /// served before LOCAL by take_cell_for / pending_cell_dsts, so the next
   /// grant towards their destination re-covers the loss first.
-  SIRIUS_HOT void push_retx(const Cell& c)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  [[nodiscard]] std::int64_t retx_total() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return retx_total_;
-  }
-  [[nodiscard]] std::int32_t retx_depth(NodeId dst) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  SIRIUS_HOT void push_retx(const Cell& c);
+  [[nodiscard]] std::int64_t retx_total() const { return retx_total_; }
+  [[nodiscard]] std::int32_t retx_depth(NodeId dst) const {
     return static_cast<std::int32_t>(
         retx_[static_cast<std::size_t>(dst)].size());
   }
@@ -151,49 +131,39 @@ class Node {
   /// Moves every granted-but-unsent cell queued towards `intermediate`
   /// back into the retransmission queue: the relay died before serving
   /// them, and its grant accounting died with it. Returns the cell count.
-  std::int64_t drain_vq_to_retx(NodeId intermediate)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  std::int64_t drain_vq_to_retx(NodeId intermediate);
 
   /// Drops every queued cell destined to `dst` (the destination rack
   /// died). VQ cells still hold a grant at their — alive — intermediate,
   /// so `on_vq_purge` is invoked with that intermediate for each; the
   /// caller must release the grant there. Returns the cells dropped.
   std::int64_t purge_dst(NodeId dst,
-                         const std::function<void(NodeId)>& on_vq_purge)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+                         const std::function<void(NodeId)>& on_vq_purge);
 
   /// Empties every VQ, FQ and retx queue (this node fail-stopped; its
   /// buffers are gone). Returns the cells dropped.
-  std::int64_t purge_all_queues() SIRIUS_REQUIRES(common::sim_slot_role);
+  std::int64_t purge_all_queues();
 
   // ---- virtual queues towards intermediates (source role) ---------------
 
-  SIRIUS_HOT void push_vq(NodeId intermediate, const Cell& c)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  SIRIUS_HOT std::optional<Cell> pop_vq(NodeId intermediate)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  [[nodiscard]] bool vq_empty(NodeId intermediate) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  SIRIUS_HOT void push_vq(NodeId intermediate, const Cell& c);
+  SIRIUS_HOT std::optional<Cell> pop_vq(NodeId intermediate);
+  [[nodiscard]] bool vq_empty(NodeId intermediate) const {
     return peers_[static_cast<std::size_t>(intermediate)].vq.empty();
   }
-  [[nodiscard]] std::int32_t vq_depth(NodeId intermediate) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t vq_depth(NodeId intermediate) const {
     return static_cast<std::int32_t>(
         peers_[static_cast<std::size_t>(intermediate)].vq.size());
   }
 
   // ---- forward queues per destination (intermediate role) ---------------
 
-  SIRIUS_HOT void push_fq(NodeId dst, const Cell& c)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  SIRIUS_HOT std::optional<Cell> pop_fq(NodeId dst)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  [[nodiscard]] bool fq_empty(NodeId dst) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  SIRIUS_HOT void push_fq(NodeId dst, const Cell& c);
+  SIRIUS_HOT std::optional<Cell> pop_fq(NodeId dst);
+  [[nodiscard]] bool fq_empty(NodeId dst) const {
     return peers_[static_cast<std::size_t>(dst)].fq.empty();
   }
-  [[nodiscard]] std::int32_t fq_depth(NodeId dst) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t fq_depth(NodeId dst) const {
     return static_cast<std::int32_t>(
         peers_[static_cast<std::size_t>(dst)].fq.size());
   }
@@ -204,8 +174,7 @@ class Node {
   /// request/grant transmit to `peer` has something to send. One bit per
   /// peer, kept current by every push and pop and rebuilt by the bulk
   /// queue surgery and restore; derived state, never serialized.
-  [[nodiscard]] bool occupied(NodeId peer) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] bool occupied(NodeId peer) const {
     const auto p = static_cast<std::size_t>(peer);
     return ((occupied_[p / 64] >> (p % 64)) & 1u) != 0;
   }
@@ -214,60 +183,48 @@ class Node {
 
   /// Number of destination slots the per-dst queues span (= node count);
   /// lets auditors sweep every (node, dst) pair without knowing the config.
-  [[nodiscard]] std::size_t queue_span() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return peers_.size();
-  }
+  [[nodiscard]] std::size_t queue_span() const { return peers_.size(); }
 
   /// Peak data held in this node's VQs + FQs (Fig. 10c).
-  [[nodiscard]] DataSize peak_queue() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return gauge_.peak();
-  }
-  [[nodiscard]] DataSize current_queue() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return gauge_.current();
-  }
+  [[nodiscard]] DataSize peak_queue() const { return gauge_.peak(); }
+  [[nodiscard]] DataSize current_queue() const { return gauge_.current(); }
 
   /// Snapshottable: LOCAL flows and their per-dst index, the spray
   /// rotation, every VQ/FQ/retx queue cell-by-cell, the congestion-control
   /// state and the occupancy gauge — the complete data-plane state of this
   /// node.
-  void serialize(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore(ckpt::Reader& r) SIRIUS_REQUIRES(common::sim_slot_role);
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
-  LocalFlow* oldest_pending_flow_for(NodeId dst, Time now, Time cell_interval)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  Cell cut_cell(LocalFlow& f) SIRIUS_REQUIRES(common::sim_slot_role);
-  void mark_occupied(NodeId peer) SIRIUS_REQUIRES(common::sim_slot_role) {
+  LocalFlow* oldest_pending_flow_for(NodeId dst, Time now, Time cell_interval);
+  Cell cut_cell(LocalFlow& f);
+  void mark_occupied(NodeId peer) {
     const auto p = static_cast<std::size_t>(peer);
     occupied_[p / 64] |= std::uint64_t{1} << (p % 64);
   }
   /// Clears `peer`'s bit once both of its queues are empty.
-  void update_occupied(NodeId peer) SIRIUS_REQUIRES(common::sim_slot_role) {
+  void update_occupied(NodeId peer) {
     const auto p = static_cast<std::size_t>(peer);
     if (peers_[p].fq.empty() && peers_[p].vq.empty()) {
       occupied_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
     }
   }
-  void rebuild_occupied() SIRIUS_REQUIRES(common::sim_slot_role);
+  void rebuild_occupied();
 
   NodeId self_;
-  cc::RequestGrantNode cc_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  cc::RequestGrantNode cc_;
   DataSize cell_capacity_;
 
   // FIFO by arrival; never popped
-  std::vector<LocalFlow> local_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<LocalFlow> local_;
   // indices into local_
-  std::vector<FifoRing<std::size_t>> per_dst_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<FifoRing<std::size_t>> per_dst_;
   // FIFO cursor past exhausted flows
-  std::size_t first_unfinished_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  std::int64_t unfinished_flows_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::size_t first_unfinished_ = 0;
+  std::int64_t unfinished_flows_ = 0;
   // RR rotation for take_any_cell
-  FifoRing<std::size_t> spray_ready_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  FifoRing<std::size_t> spray_ready_;
 
   // The FQ and VQ towards one peer share a cache line: transmit pops one
   // and tests both for the occupancy bit.
@@ -275,14 +232,13 @@ class Node {
     FifoRing<Cell> fq;
     FifoRing<Cell> vq;
   };
-  std::vector<PeerQueues> peers_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<PeerQueues> peers_;
   // per destination, served first
-  std::vector<FifoRing<Cell>> retx_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<FifoRing<Cell>> retx_;
   // bit p: peers_[p] holds a cell
-  std::vector<std::uint64_t> occupied_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int64_t retx_total_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  stats::ByteGauge gauge_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<std::uint64_t> occupied_;
+  std::int64_t retx_total_ = 0;
+  stats::ByteGauge gauge_;
 };
 
 // The queue operations are the transmit kernel's per-cell work, defined

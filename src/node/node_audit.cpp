@@ -7,8 +7,7 @@
 namespace sirius::node {
 
 void audit_queue_bound(const Node& n, std::int32_t queue_limit,
-                       std::int32_t bound)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+                       std::int32_t bound) {
   const auto& cc = n.cc();
   for (NodeId d = 0; d < static_cast<NodeId>(n.queue_span()); ++d) {
     const std::int32_t fq = n.fq_depth(d);
@@ -27,8 +26,7 @@ void audit_queue_bound(const Node& n, std::int32_t queue_limit,
   }
 }
 
-void audit_occupancy(const Node& n)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+void audit_occupancy(const Node& n) {
   for (NodeId p = 0; p < static_cast<NodeId>(n.queue_span()); ++p) {
     const bool queued = !n.fq_empty(p) || !n.vq_empty(p);
     SIRIUS_INVARIANT(n.occupied(p) == queued,

@@ -11,8 +11,6 @@
 
 #include <cstdint>
 
-#include "common/thread_safety.hpp"
-
 namespace sirius::node {
 
 class Node;
@@ -25,14 +23,12 @@ class ReorderBuffer;
 /// queue alone may transiently hold up to Q plus the in-flight allowance
 /// (see SiriusSim::transmit_slot).
 void audit_queue_bound(const Node& n, std::int32_t queue_limit,
-                       std::int32_t bound)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                       std::int32_t bound);
 
 /// Every bit of the node's occupancy bitmap equals "the FQ or the VQ
 /// towards that peer holds a cell": a stale clear bit would strand a queued
 /// cell in a sparse transmit, a stale set bit only costs a wasted visit.
-void audit_occupancy(const Node& n)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+void audit_occupancy(const Node& n);
 
 /// Structural consistency of a live reorder buffer.
 void audit_reorder(const ReorderBuffer& rb);

@@ -19,7 +19,6 @@
 
 #include "ckpt/io.hpp"
 #include "common/hot_path.hpp"
-#include "common/thread_safety.hpp"
 #include "common/units.hpp"
 #include "topo/sirius_topology.hpp"
 
@@ -33,11 +32,6 @@ namespace sirius::sched {
 /// lost bandwidth". Members keep their global NodeIds; the rotation runs
 /// over member indices, so contention-freeness and the once-per-round
 /// property hold within the alive set.
-///
-/// The tables are written once (construction / the simulator's failover
-/// swap) and read on every slot, so lookups require only a *shared* hold of
-/// common::sim_slot_role: sharded slot workers may all read the calendar
-/// concurrently, while swapping it in will need the exclusive role.
 class CyclicSchedule final {
  public:
   CyclicSchedule(std::int32_t nodes, std::int32_t uplinks);
@@ -45,20 +39,14 @@ class CyclicSchedule final {
   CyclicSchedule(std::vector<NodeId> members, std::int32_t uplinks);
 
   /// Number of *participating* nodes (= member count).
-  [[nodiscard]] std::int32_t nodes() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t nodes() const {
     return members_ ? member_count_ : nodes_;
   }
-  [[nodiscard]] std::int32_t uplinks() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return uplinks_;
-  }
-  [[nodiscard]] bool is_member(NodeId n) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  [[nodiscard]] std::int32_t uplinks() const { return uplinks_; }
+  [[nodiscard]] bool is_member(NodeId n) const;
 
   /// Slots per round; one round connects each ordered pair exactly once.
-  [[nodiscard]] std::int32_t slots_per_round() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int32_t slots_per_round() const {
     return slots_per_round_;
   }
 
@@ -66,14 +54,12 @@ class CyclicSchedule final {
   /// kInvalidNode if that uplink is idle in this slot (padding when
   /// (N-1) is not a multiple of U).
   [[nodiscard]] SIRIUS_HOT NodeId peer_tx(NodeId src, UplinkId u,
-                                          std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                                          std::int64_t t) const;
 
   /// Source heard by node `dst` on downlink `u` at slot `t`, or
   /// kInvalidNode when idle.
   [[nodiscard]] SIRIUS_HOT NodeId peer_rx(NodeId dst, UplinkId u,
-                                          std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                                          std::int64_t t) const;
 
   /// The (slot-in-round, uplink) at which `src` talks to `dst`. Each
   /// ordered pair occurs exactly once per round.
@@ -81,46 +67,38 @@ class CyclicSchedule final {
     std::int32_t slot_in_round;
     UplinkId uplink;
   };
-  Connection connection(NodeId src, NodeId dst) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  Connection connection(NodeId src, NodeId dst) const;
 
   /// Round index containing global slot `t`.
-  [[nodiscard]] std::int64_t round_of(std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int64_t round_of(std::int64_t t) const {
     return t / slots_per_round_;
   }
   /// First global slot of round `r`.
-  [[nodiscard]] std::int64_t round_start(std::int64_t r) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] std::int64_t round_start(std::int64_t r) const {
     return r * slots_per_round_;
   }
 
   /// Snapshottable: the calendar is pure function of its constructor
   /// inputs, so only those travel; restore re-derives the tables (and
   /// re-validates, so hostile input cannot build an inconsistent schedule).
-  void serialize(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore(ckpt::Reader& r) SIRIUS_REQUIRES(common::sim_slot_role);
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
-  [[nodiscard]] std::int32_t offset_of(UplinkId u, std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  [[nodiscard]] std::int32_t offset_of(UplinkId u, std::int64_t t) const;
   // member index, -1 if not member
-  [[nodiscard]] std::int32_t index_of(NodeId n) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  [[nodiscard]] NodeId node_at(std::int32_t index) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+  [[nodiscard]] std::int32_t index_of(NodeId n) const;
+  [[nodiscard]] NodeId node_at(std::int32_t index) const;
 
-  std::int32_t nodes_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int32_t uplinks_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int32_t slots_per_round_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  bool members_ SIRIUS_GUARDED_BY(common::sim_slot_role) = false;
-  std::int32_t member_count_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::int32_t nodes_;
+  std::int32_t uplinks_;
+  std::int32_t slots_per_round_;
+  bool members_ = false;
+  std::int32_t member_count_ = 0;
   // index -> NodeId
-  std::vector<NodeId> member_list_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<NodeId> member_list_;
   // NodeId -> index, -1 if absent
-  std::vector<std::int32_t> member_index_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<std::int32_t> member_index_;
 };
 
 /// The schedule's peer map flattened for the slot kernel: entry
@@ -130,34 +108,28 @@ class CyclicSchedule final {
 /// rebuild it from the schedule whenever the schedule changes.
 class PeerTable final {
  public:
-  void build(const CyclicSchedule& sched, std::int32_t nodes)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  void build(const CyclicSchedule& sched, std::int32_t nodes);
 
   /// The [node][uplink] row for schedule-relative slot `t` (t >= 0).
-  [[nodiscard]] const NodeId* row(std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] const NodeId* row(std::int64_t t) const {
     return peers_.data() +
            static_cast<std::size_t>(t % slots_per_round_) * row_size_;
   }
   /// Same as CyclicSchedule::peer_tx(src, u, t) for the schedule it was
   /// built from.
-  [[nodiscard]] NodeId peer(NodeId src, UplinkId u, std::int64_t t) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+  [[nodiscard]] NodeId peer(NodeId src, UplinkId u, std::int64_t t) const {
     return row(t)[static_cast<std::size_t>(src) *
                       static_cast<std::size_t>(uplinks_) +
                   static_cast<std::size_t>(u)];
   }
-  [[nodiscard]] std::int32_t uplinks() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
-    return uplinks_;
-  }
+  [[nodiscard]] std::int32_t uplinks() const { return uplinks_; }
 
  private:
-  std::vector<NodeId> peers_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::int32_t slots_per_round_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 1;
-  std::int32_t uplinks_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::vector<NodeId> peers_;
+  std::int32_t slots_per_round_ = 1;
+  std::int32_t uplinks_ = 0;
   // nodes * uplinks entries per slot
-  std::size_t row_size_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::size_t row_size_ = 0;
 };
 
 /// Maps the abstract schedule onto physical wavelengths for a topology and
@@ -165,7 +137,6 @@ class PeerTable final {
 /// slot of a round, every populated AWGR output port receives light from
 /// at most one input.
 bool physically_contention_free(const topo::SiriusTopology& topo,
-                                const CyclicSchedule& sched)
-    SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
+                                const CyclicSchedule& sched);
 
 }  // namespace sirius::sched

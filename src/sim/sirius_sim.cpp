@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/invariant.hpp"
-#include "common/thread_safety.hpp"
 #include "node/node_audit.hpp"
 #include "sched/schedule_audit.hpp"
 
@@ -111,9 +110,6 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
       // bit-identical.
       fault_rng_(cfg.seed ^ 0x4641554C54ull),
       goodput_(cfg.servers(), cfg.server_share()) {
-  // Construction is a slot-core entry point: it wires guarded state and
-  // calls role-required methods, so it holds the (no-op) role for its body.
-  common::RoleLock slot_role(common::sim_slot_role);
   hub_ = cfg_.telemetry;
   if (hub_ == nullptr) {
     own_hub_ = std::make_unique<telemetry::Hub>();
@@ -278,11 +274,7 @@ void SiriusSim::register_auditors() {
   // Per-slot contention-freeness of the static schedule (§4.2): the tx map
   // must be a partial permutation and peer_rx its inverse. The audited slot
   // is schedule-relative (a swap restarts the round phase).
-  // Auditor bodies run from run_all() inside the slot loop, but each lambda
-  // is its own function to the thread-safety analysis, so each re-opens the
-  // (no-op) role for its body.
   auditors_.register_auditor("schedule-permutation", [this] {
-    common::SharedRoleLock slot_role(common::sim_slot_role);
     sched::audit_slot_permutation(sched_, audit_slot_);
   });
 
@@ -294,7 +286,6 @@ void SiriusSim::register_auditors() {
   // taken over every schedule this run has used (see audit_flight_rounds_).
   if (!cfg_.ideal && cfg_.routing == RoutingMode::kValiant) {
     auditors_.register_auditor("queue-bound", [this] {
-      common::SharedRoleLock slot_role(common::sim_slot_role);
       const std::int32_t bound = cfg_.queue_limit + audit_flight_rounds_ + 1;
       for (const auto& n : nodes_) {
         node::audit_queue_bound(n, cfg_.queue_limit, bound);
@@ -305,7 +296,6 @@ void SiriusSim::register_auditors() {
   // Each node's occupancy bitmap — what transmit consults to skip idle
   // pairs — agrees with its queues.
   auditors_.register_auditor("queue-occupancy", [this] {
-    common::SharedRoleLock slot_role(common::sim_slot_role);
     for (const auto& n : nodes_) node::audit_occupancy(n);
   });
 
@@ -314,7 +304,6 @@ void SiriusSim::register_auditors() {
   // the failover path (dead-rack purges, grey losses, relay refusals,
   // discarded duplicates). A fault-free run must audit with dropped == 0.
   auditors_.register_auditor("cell-conservation", [this] {
-    common::SharedRoleLock slot_role(common::sim_slot_role);
     std::int64_t queued = 0;
     for (const auto& n : nodes_) {
       for (NodeId d = 0; d < cfg_.racks; ++d) {
@@ -333,7 +322,6 @@ void SiriusSim::register_auditors() {
 
   // Reorder buffers of in-progress flows stay structurally consistent.
   auditors_.register_auditor("reorder-buffers", [this] {
-    common::SharedRoleLock slot_role(common::sim_slot_role);
     for (const auto& rxp : rx_) {
       if (rxp != nullptr && !rxp->reorder.complete()) {
         node::audit_reorder(rxp->reorder);
@@ -469,10 +457,7 @@ void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
   // direct-only routing (each pair owns its slot outright).
   if (cfg_.ideal || cfg_.routing == RoutingMode::kDirect) return;
 
-  // Helper lambdas are separate functions to the thread-safety analysis;
-  // each re-opens the (no-op) role it is always called under.
   const auto skip_node = [this](NodeId n) {
-    common::SharedRoleLock slot_role(common::sim_slot_role);
     return faults_active_ && (truth_down_[static_cast<std::size_t>(n)] != 0 ||
                               !sched_.is_member(n));
   };
@@ -484,11 +469,7 @@ void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
   for (auto& inter : nodes_) {
     if (skip_node(inter.self())) continue;
     inter.cc().issue_grants(
-        [&inter](NodeId dst) {
-          common::SharedRoleLock slot_role(common::sim_slot_role);
-          return inter.fq_depth(dst);
-        },
-        rng_, &grants_);
+        [&inter](NodeId dst) { return inter.fq_depth(dst); }, rng_, &grants_);
     for (const cc::Grant& g : grants_) {
       SIRIUS_CELL_EVENT(hub_, telemetry::CellEvent::kGrant, now,
                         g.intermediate, g.to, g.dst, FlowId{-1}, -1);
@@ -533,11 +514,9 @@ void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
                           &pending_);
     const NodeId s = src.self();
     const auto vq_has_room = [this, &src](NodeId i) {
-      common::SharedRoleLock slot_role(common::sim_slot_role);
       return src.vq_depth(i) < cfg_.max_vq_depth;
     };
     const auto relay_ok = [this, s](NodeId inter, NodeId dst) {
-      common::SharedRoleLock slot_role(common::sim_slot_role);
       if (!faults_active_) return true;
       const auto& view = views_[static_cast<std::size_t>(s)];
       // Veto a relay whose link towards dst is reported lost (the cell
@@ -823,7 +802,6 @@ void SiriusSim::sync_exclusions(NodeId observer, std::int64_t round,
       // release the grant of every purged VQ cell at its — alive —
       // intermediate so the relay's accounting stays exact.
       const std::int64_t purged = n.purge_dst(d, [this, d](NodeId inter) {
-        common::RoleLock slot_role(common::sim_slot_role);
         if (truth_down_[static_cast<std::size_t>(inter)] == 0) {
           nodes_[static_cast<std::size_t>(inter)].cc().on_grant_release(d);
           c_released_->inc();
@@ -1050,9 +1028,6 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
 }
 
 SiriusSimResult SiriusSim::run() {
-  // THE slot-core entry point: the whole run executes under the (no-op)
-  // slot role. When the loop is sharded, this lock moves into the workers.
-  common::RoleLock slot_role(common::sim_slot_role);
   const Time slot_len = cfg_.slots.slot_duration();
   const std::int64_t last_arrival_slot =
       workload_.last_arrival() / slot_len + 1;
@@ -1326,9 +1301,6 @@ void SiriusSim::serialize_telemetry(ckpt::Writer& w) const {
   // Values travel keyed by name so a restore survives registration-order
   // drift; the final exported artifacts (JSONL rows, histogram summary)
   // of a resumed run must be byte-identical to an uninterrupted run's.
-  // Checkpointing is a cold path serialized under the slot role, so
-  // walking the registry here cannot race a shard.
-  // sirius-lint: allow(singleton-telemetry-escape)
   const telemetry::MetricsRegistry& m = hub_->metrics();
   w.u64(m.counter_names().size());
   for (const std::string& name : m.counter_names()) {
@@ -1358,8 +1330,6 @@ void SiriusSim::serialize_telemetry(ckpt::Writer& w) const {
 
 bool SiriusSim::restore_telemetry(ckpt::Reader& r) {
   if (!r.expect_tag(kTagTelemetry, "telemetry")) return false;
-  // Cold path under the exclusive slot role; see serialize_telemetry.
-  // sirius-lint: allow(singleton-telemetry-escape)
   telemetry::MetricsRegistry& m = hub_->metrics();
   const std::size_t nc = r.count(9, "counters");
   for (std::size_t i = 0; i < nc && r.ok(); ++i) {
@@ -1672,14 +1642,12 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
 }
 
 std::string SiriusSim::checkpoint_state() const {
-  common::SharedRoleLock slot_role(common::sim_slot_role);
   ckpt::Writer w;
   serialize_state(w);
   return w.data();
 }
 
 bool SiriusSim::restore_state(std::string_view payload, std::string* error) {
-  common::RoleLock slot_role(common::sim_slot_role);
   ckpt::Reader r(payload);
   if (restore_state_impl(r)) return true;
   if (error != nullptr) {
@@ -1689,7 +1657,6 @@ bool SiriusSim::restore_state(std::string_view payload, std::string* error) {
 }
 
 void SiriusSim::reseed_streams(std::uint64_t salt) {
-  common::RoleLock slot_role(common::sim_slot_role);
   // Deterministic per salt, unrelated to the restored stream positions:
   // two forks of one snapshot with different salts explore different
   // futures; the same salt reproduces the same future.

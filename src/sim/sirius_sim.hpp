@@ -31,7 +31,6 @@
 #include "ckpt/io.hpp"
 #include "common/hot_path.hpp"
 #include "common/rng.hpp"
-#include "common/thread_safety.hpp"
 #include "ctrl/fault_plan.hpp"
 #include "ctrl/peer_health.hpp"
 #include "node/node.hpp"
@@ -130,10 +129,6 @@ struct SiriusSimConfig {
   /// but nothing is recorded and no file is written. The hub is strictly
   /// write-only from the sim's point of view, so results are bit-identical
   /// with telemetry attached, detached, or compiled out.
-  // Caller-owned hub handed through a value-object config; the sim pins it
-  // into hub_ (guarded by sim_slot_role) at construction and never shares
-  // the config itself.
-  // sirius-lint: allow(no-shared-mutable-ref)
   telemetry::Hub* telemetry = nullptr;
   /// Periodic checkpoint cadence in simulated time (zero = disabled). At
   /// the first top-of-slot point at or after each multiple of
@@ -217,12 +212,6 @@ struct SiriusSimResult {
 
 /// Runs one Sirius experiment over `workload`. Flow endpoints in the
 /// workload are servers; they are mapped onto racks by division.
-///
-/// All mutable slot-loop state is guarded by common::sim_slot_role and the
-/// private slot machinery requires it; the entry points (constructor body,
-/// run()) acquire the role with a no-op RoleLock. When the slot loop is
-/// sharded (ROADMAP item 2) the lock moves into the shard workers and the
-/// compiler re-checks every access against the role.
 class SiriusSim {
  public:
   SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload);
@@ -287,63 +276,45 @@ class SiriusSim {
     return server / cfg_.servers_per_rack;
   }
 
-  void serialize_state(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore_state_impl(ckpt::Reader& r)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void serialize_telemetry(ckpt::Writer& w) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  bool restore_telemetry(ckpt::Reader& r)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  void serialize_state(ckpt::Writer& w) const;
+  bool restore_state_impl(ckpt::Reader& r);
+  void serialize_telemetry(ckpt::Writer& w) const;
+  bool restore_telemetry(ckpt::Reader& r);
   /// FNV-1a over the geometry/knob fields that determine state layout and
   /// slot-loop behaviour, plus the workload. Seed, fault plan, telemetry,
   /// audit cadence and checkpoint cadence are excluded: those are the
   /// fields bisection and fork continuations legitimately override.
   [[nodiscard]] std::uint64_t state_fingerprint() const;
 
-  void register_auditors() SIRIUS_REQUIRES(common::sim_slot_role);
-  void bind_metrics() SIRIUS_REQUIRES(common::sim_slot_role);
-  void update_gauges() SIRIUS_REQUIRES(common::sim_slot_role);
-  void epoch_boundary(std::int64_t round, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void inject_arrivals(Time now) SIRIUS_REQUIRES(common::sim_slot_role);
-  SIRIUS_HOT void land_arrivals(std::int64_t slot, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  SIRIUS_HOT void transmit_slot(std::int64_t slot, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  SIRIUS_HOT void deliver(const node::Cell& cell, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void finish_flow(FlowId flow, Time completion)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  void register_auditors();
+  void bind_metrics();
+  void update_gauges();
+  void epoch_boundary(std::int64_t round, Time now);
+  void inject_arrivals(Time now);
+  SIRIUS_HOT void land_arrivals(std::int64_t slot, Time now);
+  SIRIUS_HOT void transmit_slot(std::int64_t slot, Time now);
+  SIRIUS_HOT void deliver(const node::Cell& cell, Time now);
+  void finish_flow(FlowId flow, Time completion);
 
   // ---- §4.5 failover machinery (active only for dynamic fault plans) ----
   /// Burst observation at the receiver: miss/hit bookkeeping, link-down
   /// reports and piggybacked view merging. Returns true when the burst
   /// (and any data cell on it) is lost to a grey link.
-  bool observe_burst(NodeId src, NodeId dst, std::int64_t round, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  bool observe_burst(NodeId src, NodeId dst, std::int64_t round, Time now);
   /// All round-boundary failover work, in deterministic order: ground
   /// truth transitions, retransmission timeouts, view-driven exclusion
   /// sync, schedule swap, administrative rejoin, latency stats.
-  void round_boundary_failover(std::int64_t round, std::int64_t slot,
-                               Time now) SIRIUS_REQUIRES(common::sim_slot_role);
-  void apply_rack_death(NodeId rack, std::int64_t round, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void sync_exclusions(NodeId observer, std::int64_t round, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void expire_retx_timers(std::int64_t round, Time now)
-      SIRIUS_REQUIRES(common::sim_slot_role);
+  void round_boundary_failover(std::int64_t round, std::int64_t slot, Time now);
+  void apply_rack_death(NodeId rack, std::int64_t round, Time now);
+  void sync_exclusions(NodeId observer, std::int64_t round, Time now);
+  void expire_retx_timers(std::int64_t round, Time now);
   void swap_schedule(std::vector<NodeId> members, std::int64_t round,
-                     std::int64_t slot) SIRIUS_REQUIRES(common::sim_slot_role);
-  void rejoin_rack(NodeId rack, std::int64_t slot, std::int64_t round)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void arm_retx_timer(const node::Cell& cell, NodeId src, std::int64_t round)
-      SIRIUS_REQUIRES(common::sim_slot_role);
-  void abort_rx_flow(FlowId flow) SIRIUS_REQUIRES(common::sim_slot_role);
-  [[nodiscard]] std::int32_t retx_timeout_rounds() const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role);
-  [[nodiscard]] std::int64_t round_of_slot(std::int64_t slot) const
-      SIRIUS_REQUIRES_SHARED(common::sim_slot_role) {
+                     std::int64_t slot);
+  void rejoin_rack(NodeId rack, std::int64_t slot, std::int64_t round);
+  void arm_retx_timer(const node::Cell& cell, NodeId src, std::int64_t round);
+  void abort_rx_flow(FlowId flow);
+  [[nodiscard]] std::int32_t retx_timeout_rounds() const;
+  [[nodiscard]] std::int64_t round_of_slot(std::int64_t slot) const {
     return rounds_base_ + (slot - round_base_slot_) / sched_.slots_per_round();
   }
 
@@ -351,55 +322,49 @@ class SiriusSim {
   const workload::Workload& workload_;
   ctrl::FaultPlan plan_;  ///< cfg.faults with failed_racks folded in
   sched::CyclicSchedule sched_;
-  Rng rng_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  Rng rng_;
   ///< grey-loss draws; separate stream so a fault plan does not perturb
   ///< the baseline RNG sequence
-  Rng fault_rng_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  Rng fault_rng_;
 
-  std::vector<node::Node> nodes_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<node::Node> nodes_;
   // indexed by flow id
-  std::vector<std::unique_ptr<RxFlow>> rx_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<std::unique_ptr<RxFlow>> rx_;
   // downlink serialisation
-  std::vector<Time> server_free_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<Time> server_free_;
   // ring buffer by slot
-  std::vector<std::vector<Arrival>> in_flight_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<std::vector<Arrival>> in_flight_;
   std::int64_t prop_slots_;
   Time nic_cell_time_;
   // sched_'s peer map; rebuilt at construction, swap and restore, never
   // serialized.
-  sched::PeerTable peer_table_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  sched::PeerTable peer_table_;
   // Epoch-cc scratch, reused by every node every epoch.
-  node::PendingScratch pending_scratch_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::vector<NodeId> pending_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::vector<cc::Grant> grants_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::vector<cc::RequestGrantNode::OutgoingRequest> requests_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  node::PendingScratch pending_scratch_;
+  std::vector<NodeId> pending_;
+  std::vector<cc::Grant> grants_;
+  std::vector<cc::RequestGrantNode::OutgoingRequest> requests_;
 
   // next workload flow to inject
-  std::size_t next_flow_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::size_t next_flow_ = 0;
   // not yet completed
-  std::int64_t flows_remaining_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::int64_t flows_remaining_;
   Time measure_end_;              // goodput window = [0, last arrival]
 
-  stats::FctTracker fct_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  stats::GoodputMeter goodput_ SIRIUS_GUARDED_BY(common::sim_slot_role);
-  stats::OccupancyAggregator reorder_peaks_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  std::vector<Time> completions_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  stats::FctTracker fct_;
+  stats::GoodputMeter goodput_;
+  stats::OccupancyAggregator reorder_peaks_;
+  std::vector<Time> completions_;
   check::AuditorRegistry auditors_;
   // schedule-relative slot for the permutation auditor
-  std::int64_t audit_slot_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::int64_t audit_slot_ = 0;
   // Slot-loop cursor, a member (not a run() local) so a restored sim
   // resumes mid-run: run() continues from wherever the snapshot left it.
-  std::int64_t slot_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::int64_t slot_ = 0;
   // Next simulated time the checkpoint sink fires at; derived (never
   // serialized): the smallest multiple of cfg_.checkpoint_every strictly
   // after the current slot's start reproduces the straight run's cadence.
-  Time next_checkpoint_ SIRIUS_GUARDED_BY(common::sim_slot_role) =
-      Time::infinity();
+  Time next_checkpoint_ = Time::infinity();
 
   // ---- telemetry spine --------------------------------------------------
   // The sim's cumulative statistics live as named counters in the hub's
@@ -407,100 +372,68 @@ class SiriusSim {
   // A null SiriusSimConfig::telemetry gets `own_hub_`, a disabled hub whose
   // registry still backs SiriusSimResult.
   std::unique_ptr<telemetry::Hub> own_hub_;
-  telemetry::Hub* hub_ SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
+  telemetry::Hub* hub_ = nullptr;
   // cells out of any LOCAL buffer
-  telemetry::Counter* c_injected_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_delivered_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_rejected_flows_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_requests_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_released_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_tx_first_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_tx_relay_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_dropped_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_retx_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_retx_abandoned_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_duplicates_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_flows_aborted_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Counter* c_swaps_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_flows_remaining_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_queue_worst_kb_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_retx_pending_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_members_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_requests_received_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_grants_issued_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_grants_denied_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_detector_misses_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  telemetry::Gauge* g_detector_declared_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
-  Histogram* h_fct_us_ SIRIUS_GUARDED_BY(common::sim_slot_role) = nullptr;
+  telemetry::Counter* c_injected_ = nullptr;
+  telemetry::Counter* c_delivered_ = nullptr;
+  telemetry::Counter* c_rejected_flows_ = nullptr;
+  telemetry::Counter* c_requests_ = nullptr;
+  telemetry::Counter* c_released_ = nullptr;
+  telemetry::Counter* c_tx_first_ = nullptr;
+  telemetry::Counter* c_tx_relay_ = nullptr;
+  telemetry::Counter* c_dropped_ = nullptr;
+  telemetry::Counter* c_retx_ = nullptr;
+  telemetry::Counter* c_retx_abandoned_ = nullptr;
+  telemetry::Counter* c_duplicates_ = nullptr;
+  telemetry::Counter* c_flows_aborted_ = nullptr;
+  telemetry::Counter* c_swaps_ = nullptr;
+  telemetry::Gauge* g_flows_remaining_ = nullptr;
+  telemetry::Gauge* g_queue_worst_kb_ = nullptr;
+  telemetry::Gauge* g_retx_pending_ = nullptr;
+  telemetry::Gauge* g_members_ = nullptr;
+  telemetry::Gauge* g_requests_received_ = nullptr;
+  telemetry::Gauge* g_grants_issued_ = nullptr;
+  telemetry::Gauge* g_grants_denied_ = nullptr;
+  telemetry::Gauge* g_detector_misses_ = nullptr;
+  telemetry::Gauge* g_detector_declared_ = nullptr;
+  Histogram* h_fct_us_ = nullptr;
 
   // ---- §4.5 failover state ----------------------------------------------
   // dynamic plan: in-band machinery on
   bool faults_active_ = false;
   // observers needed to convict a node
-  std::int32_t quorum_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 1;
+  std::int32_t quorum_ = 1;
   // earliest mid-run rack fault
-  NodeId first_fault_rack_ SIRIUS_GUARDED_BY(common::sim_slot_role) =
-      kInvalidNode;
+  NodeId first_fault_rack_ = kInvalidNode;
   // per rack, detector state
-  std::vector<ctrl::PeerHealth> health_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<ctrl::PeerHealth> health_;
   // per rack, piggybacked
-  std::vector<ctrl::MembershipView> views_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<ctrl::MembershipView> views_;
   // ground-truth rack status
-  std::vector<std::uint8_t> truth_down_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<std::uint8_t> truth_down_;
   // min-heap by deadline
-  std::vector<RetxTimer> retx_heap_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::vector<RetxTimer> retx_heap_;
   // first slot of the current schedule
-  std::int64_t round_base_slot_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
+  std::int64_t round_base_slot_ = 0;
   // rounds completed before that slot
-  std::int64_t rounds_base_ SIRIUS_GUARDED_BY(common::sim_slot_role) = 0;
-  std::unique_ptr<stats::RecoveryMeter> recovery_
-      SIRIUS_GUARDED_BY(common::sim_slot_role);
-  FailoverStats fo_ SIRIUS_GUARDED_BY(common::sim_slot_role);
+  std::int64_t rounds_base_ = 0;
+  std::unique_ptr<stats::RecoveryMeter> recovery_;
+  FailoverStats fo_;
   // plan's first mid-run disruption
-  Time fault_time_ SIRIUS_GUARDED_BY(common::sim_slot_role) =
-      Time::infinity();
+  Time fault_time_ = Time::infinity();
   // round containing fault_time_
-  std::int64_t fault_round_ SIRIUS_GUARDED_BY(common::sim_slot_role) = -1;
+  std::int64_t fault_round_ = -1;
   // first mid-run *rack* fault
-  Time rack_fault_time_ SIRIUS_GUARDED_BY(common::sim_slot_role) =
-      Time::infinity();
+  Time rack_fault_time_ = Time::infinity();
   // round containing rack_fault_time_
-  std::int64_t rack_fault_round_ SIRIUS_GUARDED_BY(common::sim_slot_role) =
-      -1;
+  std::int64_t rack_fault_round_ = -1;
   // first in-band link-down report
-  std::int64_t detect_round_ SIRIUS_GUARDED_BY(common::sim_slot_role) = -1;
-  Time detect_time_ SIRIUS_GUARDED_BY(common::sim_slot_role) =
-      Time::infinity();
+  std::int64_t detect_round_ = -1;
+  Time detect_time_ = Time::infinity();
   // Largest flight-rounds value any schedule of this run has had; keeps the
   // queue-bound audit valid across swaps (a rejoin shrinks flight_rounds,
   // but cells granted under the old schedule may still be draining).
-  std::int32_t audit_flight_rounds_
-      SIRIUS_GUARDED_BY(common::sim_slot_role) = 1;
+  std::int32_t audit_flight_rounds_ = 1;
 };
 
 }  // namespace sirius::sim

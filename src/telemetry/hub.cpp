@@ -34,14 +34,12 @@ Hub::Hub(TelemetryConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 Hub::~Hub() {
-  common::RoleLock hub_role(common::telemetry_hub_role);
   if (hook_installed_) {
     check::InvariantContext::instance().set_failure_hook(nullptr);
   }
 }
 
 void Hub::attach_nodes(std::int32_t nodes) {
-  common::RoleLock hub_role(common::telemetry_hub_role);
   nodes_ = nodes;
   if (cfg_.flight_recorder_depth > 0 && !recorder_.enabled()) {
     recorder_.configure(nodes, cfg_.flight_recorder_depth);
@@ -54,7 +52,6 @@ void Hub::attach_nodes(std::int32_t nodes) {
 }
 
 std::vector<Hub::Artifact> Hub::finish() {
-  common::RoleLock hub_role(common::telemetry_hub_role);
   // Stop the out-of-band thread first: its final snapshot must precede
   // the samples_json() read below (stop() joins, which publishes).
   oob_sampler_.stop();

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_safety.hpp"
 #include "common/time.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -83,11 +82,8 @@ class Hub {
   [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
   /// Called once by the simulation that adopts this hub: sizes the
-  /// flight-recorder rings and installs the invariant failure hook. The
-  /// hub guards its attach/finish state with its own role internally
-  /// (common::telemetry_hub_role), so producers stay annotation-free.
-  void attach_nodes(std::int32_t nodes)
-      SIRIUS_EXCLUDES(common::telemetry_hub_role);
+  /// flight-recorder rings and installs the invariant failure hook.
+  void attach_nodes(std::int32_t nodes);
 
   /// Any event sink live? Checked before building a CellEventRecord.
   [[nodiscard]] bool tracing() const {
@@ -113,8 +109,7 @@ class Hub {
   /// Stops the out-of-band sampler and flushes the metrics series, the
   /// trace, the flame profile and the sampler series to their configured
   /// paths. Idempotent per hub; returns what was written for the manifest.
-  std::vector<Artifact> finish()
-      SIRIUS_EXCLUDES(common::telemetry_hub_role);
+  std::vector<Artifact> finish();
 
  private:
   TelemetryConfig cfg_;
@@ -124,8 +119,8 @@ class Hub {
   FlightRecorder recorder_;
   Profiler profiler_;
   PerfSampler oob_sampler_;
-  std::int32_t nodes_ SIRIUS_GUARDED_BY(common::telemetry_hub_role) = 0;
-  bool hook_installed_ SIRIUS_GUARDED_BY(common::telemetry_hub_role) = false;
+  std::int32_t nodes_ = 0;
+  bool hook_installed_ = false;
 };
 
 }  // namespace sirius::telemetry

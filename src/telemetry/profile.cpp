@@ -80,8 +80,23 @@ void Profiler::exit_scope(std::uint64_t nanos) {
   if (n.parent > 0) {
     tree_[static_cast<std::size_t>(n.parent)].child_nanos += nanos;
   }
-  add(n.scope, nanos);
+  if (board_ != nullptr) {
+    const auto s = static_cast<std::size_t>(n.scope);
+    board_->nanos[s].fetch_add(nanos, std::memory_order_relaxed);
+    board_->calls[s].fetch_add(1, std::memory_order_relaxed);
+  }
   cur_ = n.parent;
+}
+
+Profiler::ScopeStats Profiler::stats(ProfScope s) const {
+  ScopeStats st;
+  for (const TreeNode& n : tree_) {
+    if (n.scope != s) continue;
+    st.calls += n.calls;
+    st.total_nanos += n.total_nanos;
+    if (n.max_nanos > st.max_nanos) st.max_nanos = n.max_nanos;
+  }
+  return st;
 }
 
 namespace {
@@ -146,18 +161,10 @@ void append_flame_node(const std::vector<Profiler::TreeNode>& tree,
 }  // namespace
 
 std::string Profiler::table() const {
-  bool any = false;
-  for (std::size_t i = 0; i < kProfScopeCount; ++i) {
-    any = any || acc_[i].calls > 0;
-  }
-  if (!any) return "";
-
-  std::string out =
-      "profile (host wall clock)\n"
-      "  scope            calls       total_ms    mean_us     max_us\n";
+  std::string rows;
   char line[160];
   for (std::size_t i = 0; i < kProfScopeCount; ++i) {
-    const ScopeStats& st = acc_[i];
+    const ScopeStats st = stats(static_cast<ProfScope>(i));
     if (st.calls == 0) continue;
     const double total_ms = static_cast<double>(st.total_nanos) / 1e6;
     const double mean_us = static_cast<double>(st.total_nanos) /
@@ -168,8 +175,14 @@ std::string Profiler::table() const {
                   prof_scope_name(static_cast<ProfScope>(i)),
                   static_cast<unsigned long long>(st.calls), total_ms,
                   mean_us, max_us);
-    out += line;
+    rows += line;
   }
+  if (rows.empty()) return "";
+
+  std::string out =
+      "profile (host wall clock)\n"
+      "  scope            calls       total_ms    mean_us     max_us\n" +
+      rows;
 
   // Hierarchical attribution, when any scope actually nested. `self%`
   // near 100 means the scope's cost is its own body; low self% means the

@@ -101,22 +101,6 @@ class Profiler {
   /// sampler's board before the run and owns both ends.
   void publish_to(PhaseBoard* board) { board_ = board; }
 
-  /// Flat accumulation, path-insensitive (kept for coarse callers and
-  /// checkpoint-free aggregation). Scope exits fold into this too, so
-  /// stats()/table() always cover everything the tree saw.
-  void add(ProfScope s, std::uint64_t nanos) {
-    ScopeStats& st = acc_[static_cast<std::size_t>(s)];
-    ++st.calls;
-    st.total_nanos += nanos;
-    if (nanos > st.max_nanos) st.max_nanos = nanos;
-    if (board_ != nullptr) {
-      board_->nanos[static_cast<std::size_t>(s)].fetch_add(
-          nanos, std::memory_order_relaxed);
-      board_->calls[static_cast<std::size_t>(s)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
-
   /// Opens scope `s` as a child of the innermost open scope (tree
   /// bookkeeping only — the caller reads the clock after, so bookkeeping
   /// cost is not attributed to the scope). No-op while disabled.
@@ -126,9 +110,9 @@ class Profiler {
   /// spurious exit with no open scope is ignored.
   void exit_scope(std::uint64_t nanos);
 
-  [[nodiscard]] const ScopeStats& stats(ProfScope s) const {
-    return acc_[static_cast<std::size_t>(s)];
-  }
+  /// Path-insensitive view of scope `s`: calls and total summed over every
+  /// tree node of that scope, max taken over them.
+  [[nodiscard]] ScopeStats stats(ProfScope s) const;
 
   /// The attribution tree; index 0 is the synthetic root (scope ==
   /// kScopeCount) whose children are the outermost profiled scopes.
@@ -155,7 +139,6 @@ class Profiler {
                                                ProfScope s);
 
   bool enabled_ = false;
-  ScopeStats acc_[kProfScopeCount] = {};
   std::vector<TreeNode> tree_;
   std::int32_t cur_ = -1;  ///< innermost open node; -1 = tree unopened
   PhaseBoard* board_ = nullptr;

@@ -2,8 +2,8 @@
 # trip at least one rule, so fixtures cannot rot silently as the linter
 # evolves (a rule rename or regex tweak that stops matching its own seed
 # fails here even if someone forgets the per-fixture test). Each fixture
-# is linted under each of a few plausible src/ classifications and must
-# produce violations (exit 1) under at least one of them.
+# is linted classified under src/sim/, which every src-scoped rule covers,
+# and must produce violations (exit 1).
 #
 # Exempt by design: *clean* twins and suppressed.cpp.in (zero rules is
 # their point), and xfile_core.hpp.in, whose violation only materialises
@@ -44,35 +44,27 @@ foreach(f IN LISTS fixtures)
   math(EXPR checked "${checked} + 1")
   # Strip the .in staging suffix so headers classify as headers.
   string(REGEX REPLACE "\\.in$" "" base ${f})
-  set(tripped FALSE)
   # The dead-public-symbol report is opt-in; its fixture only trips with
   # the flag on.
   set(extra "")
   if(f MATCHES "^dead_symbol")
     set(extra "--dead-symbols")
   endif()
-  # src/sim covers the src-wide and shard-boundary rules; src/stats covers
-  # the float-reduction rule (scoped to stats/ and esn/ only).
-  foreach(dir IN ITEMS src/sim src/stats)
-    execute_process(
-      COMMAND ${LINT} --quiet ${extra} --classify-as ${dir}/${base}
-              ${FIXTURES_DIR}/${f}
-      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-    if(rc EQUAL 1)
-      set(tripped TRUE)
-    elseif(NOT rc EQUAL 0)
-      message(FATAL_ERROR
-        "lint failed (rc=${rc}) on ${f} classified as ${dir}/${base}")
-    endif()
-  endforeach()
-  if(NOT tripped)
+  execute_process(
+    COMMAND ${LINT} --quiet ${extra} --classify-as src/sim/${base}
+            ${FIXTURES_DIR}/${f}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(rc EQUAL 0)
     list(APPEND rotted ${f})
+  elseif(NOT rc EQUAL 1)
+    message(FATAL_ERROR
+      "lint failed (rc=${rc}) on ${f} classified as src/sim/${base}")
   endif()
 endforeach()
 
 if(rotted)
   message(FATAL_ERROR
-    "fixtures trigger zero rules under every classification: ${rotted}")
+    "fixtures trigger zero rules classified under src/sim/: ${rotted}")
 endif()
 message(STATUS
   "lint.fixtures: ${checked}/${total} seed fixtures still trip a rule")

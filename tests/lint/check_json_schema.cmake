@@ -1,5 +1,7 @@
 # Pins the machine-readable contract of `sirius_lint --json`:
 #
+#   * `--list-rules` advertises exactly the rule set below, so a dropped,
+#     added or renamed rule fails by name;
 #   * the report object carries files_scanned, violation_count,
 #     violations, and rule_counts;
 #   * rule_counts is zero-filled over every rule `--list-rules`
@@ -34,18 +36,28 @@ foreach(line IN LISTS rule_lines)
   endif()
 endforeach()
 list(LENGTH rule_ids n_rules)
-if(n_rules LESS 20)
-  message(FATAL_ERROR
-    "--list-rules advertises only ${n_rules} rules; expected the full set")
+set(expected_ids
+  # line rules
+  no-rand no-wallclock no-stdio no-using-namespace unit-escape
+  raw-unit-param pragma-once
+  # cross-file rules
+  no-mutable-global-state no-unordered-sim-state no-pointer-key-order
+  allowlist-sync hot-path-alloc hot-path-virtual hot-path-throw
+  hot-path-copy layer-order include-cycle duplicate-include
+  dead-public-symbol)
+set(missing ${expected_ids})
+list(REMOVE_ITEM missing ${rule_ids})
+set(unexpected ${rule_ids})
+list(REMOVE_ITEM unexpected ${expected_ids})
+if(missing OR unexpected)
+  message(FATAL_ERROR "--list-rules drifted from the pinned rule set: "
+    "missing [${missing}], unexpected [${unexpected}]")
 endif()
-# The call-graph and layering families must be advertised.
-foreach(id IN ITEMS hot-path-alloc hot-path-virtual hot-path-throw
-                    hot-path-copy layer-order include-cycle
-                    duplicate-include dead-public-symbol)
-  if(NOT id IN_LIST rule_ids)
-    message(FATAL_ERROR "--list-rules does not advertise ${id}")
-  endif()
-endforeach()
+list(LENGTH expected_ids n_expected)
+if(NOT n_rules EQUAL n_expected)
+  message(FATAL_ERROR "--list-rules printed ${n_rules} rules, expected "
+    "${n_expected} distinct ids (a rule is listed twice)")
+endif()
 
 # ---- clean run: exit 0, rule_counts zero-filled over every rule -------------
 

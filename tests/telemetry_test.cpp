@@ -247,8 +247,10 @@ TEST(Profiler, AccumulatesWhenEnabled) {
   Profiler p;
   EXPECT_TRUE(p.table().empty());
   p.enable(true);
-  p.add(ProfScope::kTransmit, 1'000);
-  p.add(ProfScope::kTransmit, 3'000);
+  p.enter(ProfScope::kTransmit);
+  p.exit_scope(1'000);
+  p.enter(ProfScope::kTransmit);
+  p.exit_scope(3'000);
   EXPECT_EQ(p.stats(ProfScope::kTransmit).calls, 2u);
   EXPECT_EQ(p.stats(ProfScope::kTransmit).total_nanos, 4'000u);
   EXPECT_EQ(p.stats(ProfScope::kTransmit).max_nanos, 3'000u);

@@ -1,6 +1,6 @@
 // Pass 1 (structural scanner) and pass 2 (cross-file rules) of the
-// shard-safety analyzer. See index.hpp for the architecture overview and
-// docs/STATIC_ANALYSIS.md for the rule table.
+// determinism and hot-path analyzer. See index.hpp for the architecture
+// overview and docs/STATIC_ANALYSIS.md for the rule table.
 //
 // The scanner walks the scrubbed code view character by character keeping a
 // scope stack. Each brace scope gets its own statement accumulator, so an
@@ -92,17 +92,13 @@ bool is_cpp_keyword(const std::string& name) {
   return kKeywords.count(name) != 0;
 }
 
-/// Strips SIRIUS_* thread-safety macros and alignas(...) from a statement
+/// Strips SIRIUS_* macros (SIRIUS_HOT) and alignas(...) from a statement
 /// (with or without an argument list), so declarations classify the same
-/// annotated and bare. Sets *guarded when a (PT_)GUARDED_BY was present.
-std::string strip_attr_macros(const std::string& s, bool* guarded) {
+/// annotated and bare.
+std::string strip_attr_macros(const std::string& s) {
   static const std::regex with_args(
       R"((\bSIRIUS_[A-Z_]+|\balignas)\s*\(([^()]|\([^()]*\))*\))");
   static const std::regex bare(R"(\bSIRIUS_[A-Z_]+\b)");
-  if (guarded) {
-    static const std::regex g(R"(\bSIRIUS_(PT_)?GUARDED_BY\s*\()");
-    *guarded = std::regex_search(s, g);
-  }
   return std::regex_replace(std::regex_replace(s, with_args, " "), bare, " ");
 }
 
@@ -193,10 +189,9 @@ std::string decl_name(const std::string& decl) {
 // ---- the structural scanner ------------------------------------------------
 
 struct Scope {
-  enum Kind { kNamespace, kClass, kEnum, kFunction, kLoop, kBlock, kInit };
+  enum Kind { kNamespace, kClass, kEnum, kFunction, kBlock, kInit };
   Kind kind = kBlock;
   std::string name;       // class name / function name
-  bool is_ctor = false;   // Function scopes only
   bool is_lambda = false; // Function scopes only: a lambda body (named after
                           // its enclosing function so per-line attribution
                           // and hot-path reachability see through it)
@@ -216,10 +211,7 @@ class Scanner {
     idx_.effective_path = effective_path;
     idx_.kind = kind;
     idx_.lines = split_lines(scrub(text, &idx_.comments));
-    const std::size_t n = idx_.lines.size();
-    idx_.loop_depth.assign(n, 0);
-    idx_.enclosing_fn.assign(n, "");
-    idx_.in_ctor.assign(n, false);
+    idx_.enclosing_fn.assign(idx_.lines.size(), "");
     collect_includes(text);
     collect_allows();
   }
@@ -278,12 +270,6 @@ class Scanner {
     }
   }
 
-  int loop_count() const {
-    int n = 0;
-    for (const Scope& s : scopes_) n += s.kind == Scope::kLoop ? 1 : 0;
-    return n;
-  }
-
   const Scope* innermost_fn() const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (it->kind == Scope::kFunction) return &*it;
@@ -292,7 +278,7 @@ class Scanner {
   }
 
   /// The scope that gives a `;`-terminated statement its meaning: the
-  /// innermost function, class, or namespace (Init/Loop/Block/Enum are
+  /// innermost function, class, or namespace (Init/Block/Enum are
   /// transparent). Returns nullptr at file scope.
   const Scope* decl_context() const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
@@ -305,11 +291,7 @@ class Scanner {
   }
 
   void record_line_state(std::size_t li) {
-    idx_.loop_depth[li] = std::max(idx_.loop_depth[li], loop_count());
-    if (const Scope* fn = innermost_fn()) {
-      idx_.enclosing_fn[li] = fn->name;
-      idx_.in_ctor[li] = idx_.in_ctor[li] || fn->is_ctor;
-    }
+    if (const Scope* fn = innermost_fn()) idx_.enclosing_fn[li] = fn->name;
   }
 
   void scan_line(const std::string& ln) {
@@ -363,7 +345,7 @@ class Scanner {
       fd.name = s.name;
       fd.line = head_line + 1;
       fd.hot = has_token(raw, "SIRIUS_HOT");
-      fd.signature = trim(strip_attr_macros(raw, nullptr));
+      fd.signature = trim(strip_attr_macros(raw));
       // The defining scope, seen from outside this new function scope.
       if (scopes_.size() >= 2) {
         for (auto it = std::next(scopes_.rbegin()); it != scopes_.rend();
@@ -393,11 +375,11 @@ class Scanner {
       ClassDecl cd;
       cd.name = s.name;
       cd.line = head_line + 1;
-      cd.is_final = has_token(trim(strip_attr_macros(raw, nullptr)), "final");
+      cd.is_final = has_token(trim(strip_attr_macros(raw)), "final");
       idx_.classes.push_back(cd);
     }
-    if (s.kind == Scope::kLoop || s.kind == Scope::kFunction) {
-      // A loop / function opening on this line affects the rest of it.
+    if (s.kind == Scope::kFunction) {
+      // A function opening on this line affects the rest of it.
       record_line_state(static_cast<std::size_t>(line_));
     }
     pendings_.push_back(Pending{});
@@ -416,17 +398,13 @@ class Scanner {
   }
 
   /// A lambda body counts as part of its enclosing function: per-line
-  /// attribution, ctor detection and hot-path reachability all see through
-  /// it (a lambda defined inside a hot function runs on the hot path).
+  /// attribution and hot-path reachability both see through it (a lambda
+  /// defined inside a hot function runs on the hot path).
   void make_lambda(Scope& s) const {
     s.kind = Scope::kFunction;
     s.is_lambda = true;
-    if (const Scope* fn = innermost_fn()) {
-      s.name = fn->name;
-      s.is_ctor = fn->is_ctor;
-    } else {
-      s.name = "<lambda>";
-    }
+    const Scope* fn = innermost_fn();
+    s.name = fn ? fn->name : "<lambda>";
   }
 
   /// Decides what kind of scope a `{` opens, from the statement text
@@ -446,7 +424,7 @@ class Scanner {
       }
       return s;
     }
-    const std::string pending = trim(strip_attr_macros(raw_pending, nullptr));
+    const std::string pending = trim(strip_attr_macros(raw_pending));
     if (pending.empty()) {
       s.kind = Scope::kBlock;
       return s;
@@ -480,15 +458,11 @@ class Scanner {
       return s;
     }
     if (toks.front() == "for" || toks.front() == "while" ||
-        toks.front() == "do") {
-      s.kind = Scope::kLoop;
-      return s;
-    }
-    if (toks.front() == "if" || toks.front() == "switch" ||
-        toks.front() == "else" || toks.front() == "try" ||
-        toks.front() == "catch" || toks.front() == "case" ||
-        toks.front() == "default") {
-      // `case X:` / `default:` prefixes mean a control brace inside a
+        toks.front() == "do" || toks.front() == "if" ||
+        toks.front() == "switch" || toks.front() == "else" ||
+        toks.front() == "try" || toks.front() == "catch" ||
+        toks.front() == "case" || toks.front() == "default") {
+      // Control braces; `case X:` / `default:` prefixes mean one inside a
       // switch body, never a definition head.
       s.kind = Scope::kBlock;
       return s;
@@ -506,20 +480,8 @@ class Scanner {
     if (paren != std::string::npos) {
       s.kind = Scope::kFunction;
       // name: identifier immediately before the first top-level '('
-      const std::string head = trim(pending.substr(0, paren));
-      const auto head_toks = ident_tokens(head);
+      const auto head_toks = ident_tokens(trim(pending.substr(0, paren)));
       if (!head_toks.empty()) s.name = head_toks.back();
-      if (!s.name.empty()) {
-        // ctor: `X::X(` or a function named like its enclosing class
-        const std::string qual = s.name + "::" + s.name;
-        if (head.size() >= qual.size() &&
-            head.compare(head.size() - qual.size(), qual.size(), qual) == 0) {
-          s.is_ctor = true;
-        } else if (const Scope* ctx = decl_context();
-                   ctx && ctx->kind == Scope::kClass && ctx->name == s.name) {
-          s.is_ctor = true;
-        }
-      }
       return s;
     }
     s.kind = Scope::kInit;  // `Type name{...}` and anything unrecognised
@@ -544,17 +506,9 @@ class Scanner {
     // kEnum: enumerators, nothing to extract.
   }
 
-  void note_float_decl(const std::string& decl) {
-    if (has_token(decl, "double") || has_token(decl, "float")) {
-      const std::string name = decl_name(decl);
-      if (!name.empty()) idx_.float_names.push_back(name);
-    }
-  }
-
   /// Statement directly in a namespace / at file scope.
   void handle_global(const std::string& raw, int line0) {
-    bool guarded = false;
-    const std::string stmt = trim(strip_attr_macros(raw, &guarded));
+    const std::string stmt = trim(strip_attr_macros(raw));
     if (stmt.empty()) return;
     const auto toks = ident_tokens(stmt);
     if (toks.size() < 2) return;
@@ -590,14 +544,12 @@ class Scanner {
     g.is_thread_local = has_token(stmt, "thread_local");
     g.type_text = decl;
     idx_.globals.push_back(g);
-    note_float_decl(decl);
   }
 
   /// Statement directly in a class body: member declarations.
   void handle_field(const std::string& raw, int line0,
                     const std::string& klass) {
-    bool guarded = false;
-    const std::string stmt = trim(strip_attr_macros(raw, &guarded));
+    const std::string stmt = trim(strip_attr_macros(raw));
     if (stmt.empty()) return;
     if (has_any_token(stmt, {"using", "typedef", "friend", "template",
                              "static_assert", "operator", "public",
@@ -651,16 +603,14 @@ class Scanner {
     f.klass = klass;
     f.name = name;
     f.line = line0 + 1;
-    f.annotated = guarded;
     const std::size_t at = decl.rfind(name);
     f.type_text = trim(at == std::string::npos ? decl : decl.substr(0, at));
     idx_.fields.push_back(f);
-    note_float_decl(decl);
   }
 
-  /// Statement inside a function body: function-local statics + float names.
+  /// Statement inside a function body: function-local statics.
   void handle_local(const std::string& raw, int line0) {
-    const std::string stmt = trim(strip_attr_macros(raw, nullptr));
+    const std::string stmt = trim(strip_attr_macros(raw));
     if (stmt.empty()) return;
     const auto toks = ident_tokens(stmt);
     if (toks.empty()) return;
@@ -687,7 +637,6 @@ class Scanner {
         }
       }
     }
-    if (find_top_level(decl, '(') == std::string::npos) note_float_decl(decl);
   }
 
   FileIndex idx_;
@@ -749,8 +698,9 @@ void rule_mutable_global(const std::vector<FileIndex>& files,
         msg << "mutable " << (g.is_thread_local ? "thread_local" : "namespace-scope")
             << " state `" << g.name << "`";
       }
-      msg << " in library code: sharded slot execution cannot share it; "
-             "move it into an owning object, or allow() with a written "
+      msg << " in library code: one process runs many sims (sirius_cli "
+             "fork/bisect, gtest), so it would leak between them; move it "
+             "into an owning object, or allow() with a written "
              "justification and an ALLOWLIST.md entry";
       report(out, f, g.line, "no-mutable-global-state", msg.str());
     }
@@ -853,75 +803,6 @@ void rule_pointer_key_order(const std::vector<FileIndex>& files,
                "addresses differ run to run, so iteration order is not "
                "reproducible; key on a stable id instead");
       }
-    }
-  }
-}
-
-void rule_shared_mutable_ref(const std::vector<FileIndex>& files,
-                             std::vector<Violation>& out) {
-  for (const FileIndex& f : files) {
-    if (!under_src(f.effective_path, {"sim", "node", "cc", "sched"})) continue;
-    for (const Field& fld : f.fields) {
-      if (fld.annotated) continue;
-      const std::string t = strip_angle_contents(fld.type_text);
-      if (t.find('*') == std::string::npos &&
-          t.find('&') == std::string::npos) {
-        continue;
-      }
-      if (has_token(t, "const")) continue;
-      report(out, f, fld.line, "no-shared-mutable-ref",
-             "member `" + fld.name + "` of `" + fld.klass +
-                 "` aliases mutable state across a future shard boundary "
-                 "(non-const pointer/reference): annotate it with "
-                 "SIRIUS_GUARDED_BY(<role>) to declare the sharing, or "
-                 "allow() with a justification");
-    }
-  }
-}
-
-void rule_float_reduction(const std::vector<FileIndex>& files,
-                          std::vector<Violation>& out) {
-  static const std::regex re(R"(\b([A-Za-z_]\w*)\s*(\[[^\]]*\]\s*)?\+=)");
-  for (const FileIndex& f : files) {
-    if (!under_src(f.effective_path, {"stats", "esn"})) continue;
-    if (!f.kind.is_src) continue;
-    const std::set<std::string> floats(f.float_names.begin(),
-                                       f.float_names.end());
-    for (std::size_t li = 0; li < f.lines.size(); ++li) {
-      if (f.loop_depth[li] == 0) continue;
-      const std::string& ln = f.lines[li];
-      for (auto it = std::sregex_iterator(ln.begin(), ln.end(), re);
-           it != std::sregex_iterator(); ++it) {
-        if (floats.count((*it)[1].str()) != 0) {
-          report(out, f, static_cast<int>(li) + 1, "float-reduction-order",
-                 "floating-point accumulation `" + (*it)[1].str() +
-                     " +=` in a loop: the reduction order becomes part of "
-                     "the result; document why the iteration order is "
-                     "deterministic via allow(float-reduction-order)");
-          break;
-        }
-      }
-    }
-  }
-}
-
-void rule_telemetry_escape(const std::vector<FileIndex>& files,
-                           std::vector<Violation>& out) {
-  static const std::regex re(
-      R"((?:\.|->)\s*metrics\s*\(\s*\)|\bHub\s*::\s*instance\b)");
-  for (const FileIndex& f : files) {
-    if (!f.kind.is_src || under_src(f.effective_path, {"telemetry"})) continue;
-    for (std::size_t li = 0; li < f.lines.size(); ++li) {
-      if (!std::regex_search(f.lines[li], re)) continue;
-      const std::string& fn = f.enclosing_fn[li];
-      if (f.in_ctor[li] || fn.find("bind_metrics") != std::string::npos) {
-        continue;  // the bound-at-init pattern
-      }
-      report(out, f, static_cast<int>(li) + 1, "singleton-telemetry-escape",
-             "telemetry Hub registry access outside a constructor or "
-             "bind_metrics(): bind instrument pointers once at init and "
-             "use those on the hot path, so shards never race on the "
-             "registry");
     }
   }
 }
@@ -1416,9 +1297,6 @@ std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
   rule_mutable_global(files, out);
   rule_unordered_sim_state(files, out);
   rule_pointer_key_order(files, out);
-  rule_shared_mutable_ref(files, out);
-  rule_float_reduction(files, out);
-  rule_telemetry_escape(files, out);
   const HotClosure hc = build_hot_closure(files);
   rule_hot_path_alloc(files, hc, out);
   rule_hot_path_virtual(files, hc, out);

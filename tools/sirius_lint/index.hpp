@@ -1,24 +1,24 @@
-// Pass 1 of the two-pass shard-safety analyzer: per-file symbol extraction.
+// Pass 1 of the two-pass determinism and hot-path analyzer: per-file symbol
+// extraction.
 //
-// sirius-lint grew beyond line-local regexes when the sharded slot-core work
-// (ROADMAP item 2) needed rules about *state*, not tokens: mutable globals,
-// container fields whose iteration order leaks into results, cross-component
-// aliasing. Those need to know what a file *declares*, and one of them
-// (no-unordered-sim-state) needs the include graph of the whole scanned set.
+// sirius-lint grew beyond line-local regexes when it needed rules about
+// *state*, not tokens: mutable globals and container fields whose iteration
+// order leaks into results. Those need to know what a file *declares*, and
+// one of them (no-unordered-sim-state) needs the include graph of the whole
+// scanned set; the hot-path rules need a call graph.
 //
-// So the linter now runs in two passes:
+// So the linter runs in two passes:
 //
 //   pass 1 (this header): every file is scrubbed (comments/strings blanked)
 //     and walked by a lightweight structural scanner that tracks the scope
-//     stack (namespace / class / function / loop / brace-init) well enough
+//     stack (namespace / class / function / block / brace-init) well enough
 //     to extract a FileIndex: namespace-scope and function-`static` mutable
 //     variables, class fields with their declared type text, `#include`
-//     edges, identifiers declared with floating-point type, per-line
-//     enclosing-function names and loop depth, and every
-//     `sirius-lint: allow(...)` suppression site.
+//     edges, function heads and declarations, per-line enclosing-function
+//     names, and every `sirius-lint: allow(...)` suppression site.
 //
 //   pass 2 (evaluate_tree): the merged index is evaluated against the
-//     cross-file shard-safety rules (see docs/STATIC_ANALYSIS.md for the
+//     cross-file rules (see docs/STATIC_ANALYSIS.md for the
 //     full table) — e.g. sim-reachability is the transitive closure of the
 //     include edges from src/sim, and the allowlist cross-check compares
 //     suppression sites against tools/sirius_lint/ALLOWLIST.md.
@@ -43,14 +43,11 @@ struct Field {
   std::string type_text;  ///< declaration text left of the member name
   std::string name;
   int line = 0;  ///< 1-based
-  /// Carries a SIRIUS_GUARDED_BY / SIRIUS_PT_GUARDED_BY thread-safety
-  /// annotation (the no-shared-mutable-ref escape hatch: annotated sharing
-  /// is declared sharing).
-  bool annotated = false;
 };
 
 /// A mutable namespace-scope variable, static data member, or
-/// function-local `static` — the state the sharded core must not meet.
+/// function-local `static` — state that would leak between the sims one
+/// process runs.
 struct GlobalVar {
   std::string name;
   int line = 0;                ///< 1-based
@@ -115,13 +112,10 @@ struct FileIndex {
   std::vector<FunctionDef> fns;      ///< function definition heads
   std::vector<MethodDecl> decls;     ///< `;`-terminated fn/method decls
   std::vector<ClassDecl> classes;    ///< class/struct definition heads
-  std::vector<std::string> float_names;  ///< declared double/float idents
   // Per-line structural context, 0-based, parallel to `lines`.
   std::vector<std::string> lines;         ///< scrubbed code lines
   std::vector<std::string> comments;      ///< comment text per line
-  std::vector<int> loop_depth;            ///< enclosing for/while/do count
   std::vector<std::string> enclosing_fn;  ///< innermost function name, "" = none
-  std::vector<bool> in_ctor;              ///< enclosing function is a ctor
 };
 
 /// Runs the pass-1 scanner over one file's contents. `reported_path` is what
@@ -138,7 +132,7 @@ struct EvalOptions {
   bool dead_symbols = false;
 };
 
-/// Pass 2: evaluates the cross-file shard-safety rules over the merged
+/// Pass 2: evaluates the cross-file rules over the merged
 /// index. `allowlist_path` enables the ALLOWLIST.md sync check when
 /// non-empty. Suppression comments are honoured exactly like pass-1 rules.
 std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
