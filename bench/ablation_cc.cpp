@@ -57,7 +57,7 @@ int main() {
     small.mean_flow_size = DataSize::kilobytes(2);
     const auto w = make_workload(small, 0.1);
     SiriusVariant rg, ideal;
-    ideal.ideal = true;
+    ideal.routing = sim::RoutingMode::kIdeal;
     print_metrics_header();
     print_metrics_row(run_sirius(small, rg, w));
     print_metrics_row(run_sirius(small, ideal, w));

@@ -85,7 +85,7 @@ int main() {
     sim::SiriusSimConfig s = make_sirius_config(cfg, SiriusVariant{});
     for (std::int32_t f = 0; f < k; ++f) {
       // Spread failures across the id space.
-      s.failed_racks.push_back(f * (cfg.racks / std::max(1, k)));
+      s.faults.fail_rack(f * (cfg.racks / std::max(1, k)), Time::zero());
     }
     sim::SiriusSim sim(s, w);
     const auto r = sim.run();

@@ -15,7 +15,6 @@
 #include <initializer_list>
 
 #include "core/experiment.hpp"
-#include "sim/sirius_sim.hpp"
 
 using namespace sirius;
 using namespace sirius::core;
@@ -24,18 +23,8 @@ namespace {
 
 RunMetrics run_mode(const ExperimentConfig& cfg, sim::RoutingMode mode,
                     const workload::Workload& w, const char* label) {
-  sim::SiriusSimConfig s = make_sirius_config(cfg, SiriusVariant{});
-  s.routing = mode;
-  sim::SiriusSim sim(s, w);
-  const auto r = sim.run();
-  RunMetrics m;
+  RunMetrics m = run_sirius(cfg, SiriusVariant{.routing = mode}, w);
   m.system = label;
-  m.load = w.offered_load;
-  m.short_fct_p99_ms = r.fct.short_fct_p99_ms;
-  m.goodput = r.goodput_normalized;
-  m.queue_peak_kb = r.worst_node_queue_peak_kb;
-  m.reorder_peak_kb = r.worst_reorder_peak_kb;
-  m.incomplete = r.incomplete_flows;
   return m;
 }
 

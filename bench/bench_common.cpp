@@ -78,11 +78,11 @@ void spin_ns(std::uint64_t ns) {
 }
 
 bool time_checkpoint(sim::SiriusSim& probe, const std::string& snap,
-                     const char* stem, int iters, double* write_ns,
-                     double* restore_ns, std::string* error) {
+                     int iters, double* write_ns, double* restore_ns,
+                     std::string* error) {
   const std::filesystem::path file =
       std::filesystem::temp_directory_path() /
-      (std::string(stem) + "." + std::to_string(::getpid()) + ".ckpt");
+      ("sirius_perf_bench." + std::to_string(::getpid()) + ".ckpt");
   bool ok = true;
   const std::uint64_t w0 = now_ns();
   for (int i = 0; i < iters && ok; ++i) {

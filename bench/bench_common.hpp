@@ -1,7 +1,7 @@
-// Shared plumbing for the machine-readable bench writers (micro_bench
-// --summary and perf_bench): the `sirius.bench.v1` provenance block, RSS
-// accounting with baseline subtraction, a machine-speed calibration
-// probe, and monotonic timing helpers.
+// Shared plumbing for perf_bench, the machine-readable bench writer: the
+// `sirius.bench.v1` provenance block, RSS accounting with baseline
+// subtraction, a machine-speed calibration probe, checkpoint timing and
+// monotonic timing helpers.
 //
 // bench/ sits outside the sirius-lint `no-wallclock` scope (the rule
 // guards src/ library code): benchmarks are the one place whose entire
@@ -46,12 +46,12 @@ inline constexpr const char* kBenchSchema = "sirius.bench.v1";
 /// of `probe`'s state through ckpt::save (serialize + frame + fsync +
 /// atomic rename) to a file private to this process, then `iters`
 /// restores of `snap` into `probe`. The file name carries the process id,
-/// so bench binaries running side by side (ctest -j) never share it; it is
+/// so perf_bench runs side by side (ctest -j) never share it; it is
 /// removed afterwards. Returns false with the failure in `*error` if any
 /// save or restore fails — the caller must not report the timings then.
 bool time_checkpoint(sim::SiriusSim& probe, const std::string& snap,
-                     const char* stem, int iters, double* write_ns,
-                     double* restore_ns, std::string* error);
+                     int iters, double* write_ns, double* restore_ns,
+                     std::string* error);
 
 /// Busy-spins for at least `ns` nanoseconds. Used by perf_bench
 /// --inject-spin-ns to demonstrate that the regression gate fails on a

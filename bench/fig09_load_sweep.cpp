@@ -24,7 +24,7 @@ int main() {
 
     SiriusVariant sirius;                     // request/grant, Q=4, 1.5x
     SiriusVariant ideal = sirius;
-    ideal.ideal = true;
+    ideal.routing = sim::RoutingMode::kIdeal;
 
     print_metrics_row(run_esn(cfg, 1, w));
     print_metrics_row(run_esn(cfg, 3, w));

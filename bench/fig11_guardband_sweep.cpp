@@ -28,7 +28,7 @@ int main() {
     print_metrics_row(m);
 
     SiriusVariant ideal = v;
-    ideal.ideal = true;
+    ideal.routing = sim::RoutingMode::kIdeal;
     const auto mi = run_sirius(cfg, ideal, w);
     std::printf("%-6lld ", static_cast<long long>(g));
     print_metrics_row(mi);

@@ -315,8 +315,8 @@ bool scenario_checkpoint(const Options& opt, const Scale& s,
   std::string err = "the run took no checkpoint";
   sim::SiriusSim probe(base_config(s.other_racks), w);
   if (snap.empty() || !probe.restore_state(snap, &err) ||
-      !bench::time_checkpoint(probe, snap, "sirius_perf_bench", 10, &write_ns,
-                              &restore_ns, &err)) {
+      !bench::time_checkpoint(probe, snap, 10, &write_ns, &restore_ns,
+                              &err)) {
     std::fprintf(stderr, "perf_bench: %s: checkpoint round trip failed: %s\n",
                  name.c_str(), err.c_str());
     return false;

@@ -49,7 +49,8 @@ int main() {
   }
   {
     sim::SiriusSimConfig broken = make_sirius_config(cfg, SiriusVariant{});
-    broken.failed_racks = {3, 17};
+    broken.faults.fail_rack(3, Time::zero());
+    broken.faults.fail_rack(17, Time::zero());
     sim::SiriusSim sim(broken, *loaded);
     const auto r = sim.run();
     std::printf("%-16s %5.0f%% %14.4f %9.3f %12.1f %13.1f %10lld"

@@ -290,7 +290,7 @@ class RequestGrantNode {
     }
   }
 
-  /// Snapshottable: inbox, outstanding-grant counters, exclusions and
+  /// Checkpoint: inbox, outstanding-grant counters, exclusions and
   /// lifetime stats. The per-epoch scratch (picked flags, intermediate
   /// pool) is rebuilt from scratch every epoch and is all-zero at the
   /// slot-top checkpoint instant, so it does not travel.

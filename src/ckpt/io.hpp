@@ -11,6 +11,23 @@
 // are written and read by the same binary version, and the file-level
 // version byte (see checkpoint.hpp) is the compatibility gate. Section
 // `tag()` markers catch writer/reader drift with a precise message.
+//
+// Checkpointable state implements the pair
+//   void serialize(ckpt::Writer& w) const;
+//   bool restore(ckpt::Reader& r);  // false, diagnostic latched in `r`
+// as ordinary member functions. Modules at layer rank >= 3 (stats, cc,
+// node, sched, ctrl, sim) do so for their private state; the leaf types
+// below rank 3 (Rng, Histogram, telemetry counters) instead expose plain
+// state accessors and are serialized *by* their owners, which keeps the
+// layer matrix acyclic (ckpt sits at rank 2, so no other rank <= 2 layer
+// may include it).
+//
+// Contract: `restore(serialize(x))` must reproduce the object so exactly
+// that continuing the simulation is bit-identical to never having
+// checkpointed — including RNG streams, float accumulation order and
+// container iteration order. `restore` must never exhibit UB on hostile
+// input: decode through the bounds-checked Reader, validate semantic
+// ranges, and report failure via `Reader::fail`.
 #pragma once
 
 #include <cstdint>

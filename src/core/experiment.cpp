@@ -40,7 +40,7 @@ sim::SiriusSimConfig make_sirius_config(const ExperimentConfig& cfg,
   s.slots = phy::SlotGeometry::with_guardband_fraction(v.guardband,
                                                        cfg.channel);
   s.queue_limit = v.queue_limit;
-  s.ideal = v.ideal;
+  s.routing = v.routing;
   s.spread = v.spread;
   s.server_nic = cfg.channel;
   s.seed = cfg.seed;
@@ -55,7 +55,8 @@ RunMetrics run_sirius(const ExperimentConfig& cfg, const SiriusVariant& v,
   sim::SiriusSim sim(s, w);
   const sim::SiriusSimResult r = sim.run();
   RunMetrics m;
-  m.system = v.ideal ? "Sirius(Ideal)" : "Sirius";
+  m.system =
+      v.routing == sim::RoutingMode::kIdeal ? "Sirius(Ideal)" : "Sirius";
   m.load = w.offered_load;
   m.short_fct_p99_ms = r.fct.short_fct_p99_ms;
   m.goodput = r.goodput_normalized;

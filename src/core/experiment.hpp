@@ -42,7 +42,7 @@ struct SiriusVariant {
   double uplink_multiplier = 1.5;
   std::int32_t queue_limit = 4;
   Time guardband = Time::ns(10);
-  bool ideal = false;
+  sim::RoutingMode routing = sim::RoutingMode::kValiant;
   cc::SpreadPolicy spread = cc::SpreadPolicy::kDesynchronized;
 };
 

@@ -75,7 +75,8 @@ class FaultPlan {
 
   /// True when the plan needs mid-run machinery: any rack fault with
   /// at > 0 or a recovery, or any grey link. A plan of pure t=0
-  /// never-recovering failures is the static `failed_racks` case.
+  /// never-recovering failures is static: those racks are left out of
+  /// the schedule for the whole run.
   [[nodiscard]] bool dynamic() const;
 
   /// Racks that are down at t = 0 (initial schedule membership).

@@ -25,13 +25,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
+#include "ckpt/io.hpp"
 #include "common/units.hpp"
 
 namespace sirius::ctrl {
 
 /// One observer's consecutive-miss run per peer (the §4.5 detector).
-class PeerHealth : public ckpt::Snapshottable {
+class PeerHealth {
  public:
   PeerHealth(std::int32_t peers, std::int32_t miss_threshold);
 
@@ -63,10 +63,10 @@ class PeerHealth : public ckpt::Snapshottable {
   /// Forget everything about `peer` (administrative rejoin).
   void reset(NodeId peer);
 
-  /// Snapshottable: miss runs, declarations and lifetime stats, so a
+  /// Checkpoint: miss runs, declarations and lifetime stats, so a
   /// restored detector is mid-run exactly where the original was.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
   std::int32_t threshold_;
@@ -78,7 +78,7 @@ class PeerHealth : public ckpt::Snapshottable {
 
 /// One node's view of every directed link, merged in-band (§4.5
 /// "failed-set piggybacked on every outgoing cell").
-class MembershipView : public ckpt::Snapshottable {
+class MembershipView {
  public:
   /// `quorum`: distinct observers required to convict a node (>= 1).
   MembershipView(std::int32_t racks, NodeId owner, std::int32_t quorum);
@@ -119,11 +119,11 @@ class MembershipView : public ckpt::Snapshottable {
   /// from the same owner mean identical content (merge short-circuit).
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
-  /// Snapshottable: the full versioned opinion matrix, vote tallies and
+  /// Checkpoint: the full versioned opinion matrix, vote tallies and
   /// merge short-circuit cursors (revisions included — they decide future
   /// merge outcomes, so they must survive a restore bit-exactly).
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
   struct LinkState {

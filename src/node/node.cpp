@@ -266,26 +266,6 @@ void Node::rebuild_occupied() {
 
 namespace {
 
-void put_cell(ckpt::Writer& w, const Cell& c) {
-  w.i64(c.flow);
-  w.i32(c.seq);
-  w.i32(c.dst_node);
-  w.i32(c.dst_server);
-  w.i32(c.payload_bytes);
-  w.i32(c.retries);
-}
-
-Cell get_cell(ckpt::Reader& r) {
-  Cell c;
-  c.flow = r.i64();
-  c.seq = r.i32();
-  c.dst_node = r.i32();
-  c.dst_server = r.i32();
-  c.payload_bytes = r.i32();
-  c.retries = r.i32();
-  return c;
-}
-
 /// Writes the `n` cell queues `queue(0) .. queue(n - 1)`.
 template <typename QueueAt>
 void put_cell_queues(ckpt::Writer& w, std::size_t n, QueueAt&& queue) {
@@ -311,7 +291,7 @@ bool get_cell_queues(ckpt::Reader& r, std::size_t nodes, QueueAt&& queue,
   for (std::size_t d = 0; d < n; ++d) {
     FifoRing<Cell>& q = queue(d);
     q.clear();
-    const std::size_t m = r.count(24, what);
+    const std::size_t m = r.count(kCellBytes, what);
     for (std::size_t i = 0; i < m; ++i) {
       const Cell c = get_cell(r);
       if (!r.ok()) return false;

@@ -189,7 +189,7 @@ class Node {
   [[nodiscard]] DataSize peak_queue() const { return gauge_.peak(); }
   [[nodiscard]] DataSize current_queue() const { return gauge_.current(); }
 
-  /// Snapshottable: LOCAL flows and their per-dst index, the spray
+  /// Checkpoint: LOCAL flows and their per-dst index, the spray
   /// rotation, every VQ/FQ/retx queue cell-by-cell, the congestion-control
   /// state and the occupancy gauge — the complete data-plane state of this
   /// node.

@@ -49,7 +49,7 @@ class ReorderBuffer {
     return DataSize::bytes(peak_bytes_);
   }
 
-  /// Snapshottable: full state incl. the pending bitmap, so a restored
+  /// Checkpoint: full state incl. the pending bitmap, so a restored
   /// receiver releases exactly the same in-order prefixes.
   void serialize(ckpt::Writer& w) const;
   bool restore(ckpt::Reader& r);

@@ -78,7 +78,7 @@ class CyclicSchedule final {
     return r * slots_per_round_;
   }
 
-  /// Snapshottable: the calendar is pure function of its constructor
+  /// Checkpoint: the calendar is pure function of its constructor
   /// inputs, so only those travel; restore re-derives the tables (and
   /// re-validates, so hostile input cannot build an inconsistent schedule).
   void serialize(ckpt::Writer& w) const;

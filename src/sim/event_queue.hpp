@@ -44,7 +44,7 @@ class EventQueue {
   /// anchored at the horizon rather than at the last executed event.
   std::int64_t run_until(Time until = Time::infinity());
 
-  /// Snapshottable — with a restriction: handlers are arbitrary closures
+  /// Checkpointable — with a restriction: handlers are arbitrary closures
   /// and cannot travel through a file, so only a *drained* queue (the state
   /// between experiment phases, and the only state the slot-synchronous
   /// checkpoints ever see) can be serialized. serialize() on a non-empty

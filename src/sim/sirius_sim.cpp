@@ -11,16 +11,22 @@ namespace sirius::sim {
 
 namespace {
 
-// The static `failed_racks` list is sugar for a fault-plan entry that fails
-// the rack at t = 0 and never recovers; folding it in gives both mechanisms
-// one code path (schedule membership, exclusions, injection rejection).
-ctrl::FaultPlan folded_plan(const SiriusSimConfig& cfg) {
-  ctrl::FaultPlan plan = cfg.faults;
-  for (const NodeId f : cfg.failed_racks) {
-    plan.fail_rack(f, Time::zero());
-  }
-  return plan;
-}
+// Fixed protocol and physical parameters of the §7 simulation.
+//
+// A source stops requesting an intermediate whose virtual queue already
+// holds this many granted-but-unsent cells (bounds source-side backlog; the
+// source knows its own queues, so this is free to implement).
+constexpr std::int32_t kMaxVqDepth = 2;
+// One-way node -> grating -> node propagation (datacenter span).
+constexpr Time kPropagationDelay = Time::ns(500);
+// Intra-rack forwarding latency through the electrical ToR.
+constexpr Time kRackSwitchLatency = Time::ns(500);
+// Safety cap: give up this many slots after the last flow arrival.
+constexpr std::int64_t kMaxDrainSlots = 5'000'000;
+// Retransmission attempts per cell before it is abandoned.
+constexpr std::int32_t kRetryLimit = 16;
+// Bin width of the goodput-vs-time recovery curve.
+constexpr Time kRecoveryBin = Time::us(2);
 
 // Alive member list for the initial schedule given the fault plan.
 std::vector<NodeId> initial_members(const ctrl::FaultPlan& plan,
@@ -66,29 +72,6 @@ std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-void put_cell(ckpt::Writer& w, const node::Cell& c) {
-  w.i64(c.flow);
-  w.i32(c.seq);
-  w.i32(c.dst_node);
-  w.i32(c.dst_server);
-  w.i32(c.payload_bytes);
-  w.i32(c.retries);
-}
-
-node::Cell get_cell(ckpt::Reader& r) {
-  node::Cell c;
-  c.flow = r.i64();
-  c.seq = r.i32();
-  c.dst_node = r.i32();
-  c.dst_server = r.i32();
-  c.payload_bytes = r.i32();
-  c.retries = r.i32();
-  return c;
-}
-
-// On-wire size of one serialized Cell, for Reader::count bounds.
-constexpr std::size_t kCellBytes = 8 + 5 * 4;
-
 }  // namespace
 
 bool SiriusSim::timer_later(const RetxTimer& a, const RetxTimer& b) {
@@ -102,8 +85,7 @@ bool SiriusSim::timer_later(const RetxTimer& a, const RetxTimer& b) {
 SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
     : cfg_(cfg),
       workload_(workload),
-      plan_(folded_plan(cfg)),
-      sched_(initial_members(plan_, cfg.racks), cfg.uplinks()),
+      sched_(initial_members(cfg_.faults, cfg_.racks), cfg_.uplinks()),
       rng_(cfg.seed ^ 0x5349524955u),
       // Separate stream for the plan's Bernoulli draws: an empty plan must
       // leave the baseline RNG sequence — and hence every baseline result —
@@ -120,23 +102,20 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
   SIRIUS_INVARIANT(workload_.servers == cfg_.servers(),
                    "workload generated for %d servers, config has %d",
                    workload_.servers, cfg_.servers());
-  const auto plan_error = plan_.validate(cfg_.racks);
+  const auto plan_error = cfg_.faults.validate(cfg_.racks);
   SIRIUS_INVARIANT(plan_error == std::nullopt, "invalid fault plan: %s",
                    plan_error ? plan_error->c_str() : "");
-  if (plan_error) plan_ = ctrl::FaultPlan{};
+  if (plan_error) cfg_.faults = ctrl::FaultPlan{};
 
-  faults_active_ = plan_.dynamic();
-  SIRIUS_INVARIANT(!faults_active_ ||
-                       (!cfg_.ideal && cfg_.routing == RoutingMode::kValiant),
+  faults_active_ = cfg_.faults.dynamic();
+  SIRIUS_INVARIANT(!faults_active_ || cfg_.routing == RoutingMode::kValiant,
                    "dynamic fault plans need the request/grant Valiant mode "
                    "(in-band detection rides on its schedule bursts)");
-  if (faults_active_ && (cfg_.ideal || cfg_.routing != RoutingMode::kValiant)) {
-    faults_active_ = false;
-  }
+  if (cfg_.routing != RoutingMode::kValiant) faults_active_ = false;
 
   const cc::RequestGrantConfig cc_cfg{cfg_.racks, cfg_.queue_limit,
                                      cfg_.spread};
-  const auto down0 = plan_.down_at_start();
+  const auto down0 = cfg_.faults.down_at_start();
   nodes_.reserve(static_cast<std::size_t>(cfg_.racks));
   for (NodeId n = 0; n < cfg_.racks; ++n) {
     nodes_.emplace_back(n, cc_cfg, cfg_.slots.cell_size());
@@ -148,8 +127,7 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
   server_free_.assign(static_cast<std::size_t>(cfg_.servers()), Time::zero());
 
   prop_slots_ = std::max<std::int64_t>(
-      1, (cfg_.propagation_delay + cfg_.slots.slot_duration() -
-          Time::ps(1)) /
+      1, (kPropagationDelay + cfg_.slots.slot_duration() - Time::ps(1)) /
              cfg_.slots.slot_duration());
   in_flight_.resize(static_cast<std::size_t>(prop_slots_) + 1);
   peer_table_.build(sched_, cfg_.racks);
@@ -165,22 +143,23 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
   completions_.assign(workload_.flows.size(), Time::infinity());
 
   if (faults_active_) {
-    std::int32_t q = cfg_.node_down_quorum;
-    if (q <= 0) q = std::max<std::int32_t>(2, cfg_.racks / 4);
+    // Distinct observers whose reports convict a node as down, so one
+    // locally-grey link cannot evict a healthy rack.
     quorum_ = std::max<std::int32_t>(
-        1, std::min<std::int32_t>(q, cfg_.racks - 1));
+        1, std::min<std::int32_t>(std::max<std::int32_t>(2, cfg_.racks / 4),
+                                  cfg_.racks - 1));
     health_.reserve(static_cast<std::size_t>(cfg_.racks));
     views_.reserve(static_cast<std::size_t>(cfg_.racks));
     for (NodeId n = 0; n < cfg_.racks; ++n) {
-      health_.emplace_back(cfg_.racks, cfg_.miss_threshold);
+      health_.emplace_back(cfg_.racks, kMissThreshold);
       views_.emplace_back(cfg_.racks, n, quorum_);
     }
     truth_down_.assign(static_cast<std::size_t>(cfg_.racks), 0);
     for (const NodeId f : down0) {
       truth_down_[static_cast<std::size_t>(f)] = 1;
     }
-    fault_time_ = plan_.first_disruption();
-    for (const auto& f : plan_.rack_faults()) {
+    fault_time_ = cfg_.faults.first_disruption();
+    for (const auto& f : cfg_.faults.rack_faults()) {
       if (f.at > Time::zero() && f.at < rack_fault_time_) {
         rack_fault_time_ = f.at;
         first_fault_rack_ = f.rack;
@@ -189,7 +168,7 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
   }
   if (cfg_.record_recovery_curve) {
     recovery_ = std::make_unique<stats::RecoveryMeter>(
-        cfg_.servers(), cfg_.server_share(), cfg_.recovery_bin);
+        cfg_.servers(), cfg_.server_share(), kRecoveryBin);
   }
   // First checkpoint at the first slot-top at or after one cadence period
   // (a t = 0 snapshot would just duplicate the constructor).
@@ -200,9 +179,10 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
 }
 
 std::int32_t SiriusSim::retx_timeout_rounds() const {
-  if (cfg_.retx_timeout_rounds > 0) return cfg_.retx_timeout_rounds;
-  // The timer is armed when the cell's first-hop burst leaves the source
-  // (see transmit_slot), so the worst legitimate remaining path is: fly,
+  // Rounds a source waits, counted from the cell's first-hop transmission,
+  // before assuming the cell was lost and retransmitting it. The timer is
+  // armed when the cell's first-hop burst leaves the source (see
+  // transmit_slot), so the worst legitimate remaining path is: fly,
   // wait out the relay queue (up to Q + flight cells ahead — the audited
   // bound — at one (intermediate, dst) slot per round), fly again — plus
   // slack for epoch phase alignment. Anything slower was lost. Arming at
@@ -212,7 +192,7 @@ std::int32_t SiriusSim::retx_timeout_rounds() const {
   // the source has not even sent yet.
   const auto spr = sched_.slots_per_round();
   const auto flight = static_cast<std::int32_t>((prop_slots_ + spr - 1) / spr);
-  return 3 * flight + cfg_.queue_limit + cfg_.miss_threshold + 6;
+  return 3 * flight + cfg_.queue_limit + kMissThreshold + 6;
 }
 
 void SiriusSim::bind_metrics() {
@@ -284,7 +264,7 @@ void SiriusSim::register_auditors() {
   // is Q plus the number of granted cells a fiber flight can overlap
   // (ceil(prop_slots / slots_per_round) rounds, one grant per dst each),
   // taken over every schedule this run has used (see audit_flight_rounds_).
-  if (!cfg_.ideal && cfg_.routing == RoutingMode::kValiant) {
+  if (cfg_.routing == RoutingMode::kValiant) {
     auditors_.register_auditor("queue-bound", [this] {
       const std::int32_t bound = cfg_.queue_limit + audit_flight_rounds_ + 1;
       for (const auto& n : nodes_) {
@@ -432,7 +412,7 @@ void SiriusSim::inject_arrivals(Time now) {
       // switched locally by the electrical ToR at server line rate.
       const Time completion = f.arrival +
                               cfg_.server_nic.transmission_time(f.size) +
-                              cfg_.rack_switch_latency;
+                              kRackSwitchLatency;
       if (completion <= measure_end_) goodput_.deliver(f.size);
       if (recovery_) recovery_->deliver(completion, f.size);
       finish_flow(f.id, completion);
@@ -455,7 +435,7 @@ void SiriusSim::inject_arrivals(Time now) {
 void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
   // No request/grant round in the idealised mode, and none needed for
   // direct-only routing (each pair owns its slot outright).
-  if (cfg_.ideal || cfg_.routing == RoutingMode::kDirect) return;
+  if (cfg_.routing != RoutingMode::kValiant) return;
 
   const auto skip_node = [this](NodeId n) {
     return faults_active_ && (truth_down_[static_cast<std::size_t>(n)] != 0 ||
@@ -513,8 +493,8 @@ void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
     src.pending_cell_dsts(now, nic_cell_time_, limit, &pending_scratch_,
                           &pending_);
     const NodeId s = src.self();
-    const auto vq_has_room = [this, &src](NodeId i) {
-      return src.vq_depth(i) < cfg_.max_vq_depth;
+    const auto vq_has_room = [&src](NodeId i) {
+      return src.vq_depth(i) < kMaxVqDepth;
     };
     const auto relay_ok = [this, s](NodeId inter, NodeId dst) {
       if (!faults_active_) return true;
@@ -596,8 +576,8 @@ bool SiriusSim::observe_burst(NodeId src, NodeId dst, std::int64_t round,
   // to a grey-link Bernoulli draw. Either way the receiver's detector sees
   // only presence/absence — §4.5 probe-less detection.
   bool lost = truth_down_[static_cast<std::size_t>(src)] != 0;
-  if (!lost && plan_.link_ever_grey(src, dst)) {
-    const double p = plan_.link_loss(src, dst, now);
+  if (!lost && cfg_.faults.link_ever_grey(src, dst)) {
+    const double p = cfg_.faults.link_loss(src, dst, now);
     lost = p > 0.0 && fault_rng_.chance(p);
   }
   auto& view = views_[static_cast<std::size_t>(dst)];
@@ -633,7 +613,7 @@ void SiriusSim::transmit_slot(std::int64_t slot, Time now) {
   // draw from LOCAL, and the §4.5 detector must observe every burst (its
   // grey-loss draws come from fault_rng_).
   const bool skip_idle =
-      !cfg_.ideal && cfg_.routing == RoutingMode::kValiant && !faults_active_;
+      cfg_.routing == RoutingMode::kValiant && !faults_active_;
   for (NodeId s = 0; s < cfg_.racks; ++s, peers += uplinks) {
     auto& n = nodes_[static_cast<std::size_t>(s)];
     for (UplinkId u = 0; u < uplinks; ++u) {
@@ -679,7 +659,7 @@ void SiriusSim::transmit_slot(std::int64_t slot, Time now) {
         }
         continue;
       }
-      if (cfg_.ideal) {
+      if (cfg_.routing == RoutingMode::kIdeal) {
         if (auto cell = n.take_any_cell(now, nic_cell_time_)) {
           c_injected_->inc();
           in_flight_[land_slot].push_back(Arrival{*cell, p});
@@ -744,7 +724,7 @@ void SiriusSim::expire_retx_timers(std::int64_t round, Time now) {
         !sched_.is_member(t.src)) {
       continue;  // the source is gone; the flow-abort path owns this flow
     }
-    if (t.cell.retries >= cfg_.retry_limit) {
+    if (t.cell.retries >= kRetryLimit) {
       // Give up: the flow cannot complete without this cell.
       c_retx_abandoned_->inc();
       abort_rx_flow(t.cell.flow);
@@ -762,8 +742,7 @@ void SiriusSim::expire_retx_timers(std::int64_t round, Time now) {
   }
 }
 
-void SiriusSim::apply_rack_death(NodeId rack, std::int64_t round, Time now) {
-  (void)round;
+void SiriusSim::apply_rack_death(NodeId rack, Time now) {
   auto& n = nodes_[static_cast<std::size_t>(rack)];
   // The rack's buffers die with it.
   const std::int64_t purged = n.purge_all_queues();
@@ -787,9 +766,7 @@ void SiriusSim::apply_rack_death(NodeId rack, std::int64_t round, Time now) {
   }
 }
 
-void SiriusSim::sync_exclusions(NodeId observer, std::int64_t round,
-                                Time now) {
-  (void)round;
+void SiriusSim::sync_exclusions(NodeId observer, Time now) {
   auto& n = nodes_[static_cast<std::size_t>(observer)];
   const auto& view = views_[static_cast<std::size_t>(observer)];
   for (NodeId d = 0; d < cfg_.racks; ++d) {
@@ -863,7 +840,7 @@ void SiriusSim::rejoin_rack(NodeId rack, std::int64_t slot,
   // plane; in-band rejoin is impossible because a non-member has no
   // schedule slots). The rebooted rack starts from clean state.
   health_[static_cast<std::size_t>(rack)] =
-      ctrl::PeerHealth(cfg_.racks, cfg_.miss_threshold);
+      ctrl::PeerHealth(cfg_.racks, kMissThreshold);
   views_[static_cast<std::size_t>(rack)] =
       ctrl::MembershipView(cfg_.racks, rack, quorum_);
   for (NodeId n = 0; n < cfg_.racks; ++n) {
@@ -916,10 +893,10 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
   // the round's end), which is exactly when its peers start counting.
   const Time probe = now + round_len - Time::ps(1);
   for (NodeId r = 0; r < cfg_.racks; ++r) {
-    const bool down = plan_.rack_down(r, probe);
+    const bool down = cfg_.faults.rack_down(r, probe);
     if (down && truth_down_[static_cast<std::size_t>(r)] == 0) {
       truth_down_[static_cast<std::size_t>(r)] = 1;
-      apply_rack_death(r, round, now);
+      apply_rack_death(r, now);
     } else if (!down && truth_down_[static_cast<std::size_t>(r)] != 0) {
       // Powered back on; rejoins the schedule below once the plan's
       // recovery time has passed.
@@ -937,7 +914,7 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
     if (truth_down_[static_cast<std::size_t>(n)] != 0 || !sched_.is_member(n)) {
       continue;
     }
-    sync_exclusions(n, round, now);
+    sync_exclusions(n, now);
   }
 
   // 3b. Dissemination latency: the first mid-run rack fault counts as
@@ -991,25 +968,7 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
       // A live rack voted out (quorum of grey links): it is cut off from
       // the fabric, so its flows and queues are as dead as a crashed
       // rack's — the documented blast radius of a false conviction.
-      auto& node_m = nodes_[static_cast<std::size_t>(m)];
-      const std::int64_t purged = node_m.purge_all_queues();
-      c_dropped_->inc(purged);
-      if (purged > 0) {
-        SIRIUS_CELL_EVENT(hub_, telemetry::CellEvent::kDrop, now, m,
-                          kInvalidNode, kInvalidNode, FlowId{-1},
-                          static_cast<std::int32_t>(purged));
-      }
-      node_m.cc().clear_protocol_state();
-      for (const FlowId id : node_m.abort_flows_where(
-               [](const node::LocalFlow&) { return true; })) {
-        abort_rx_flow(id);
-      }
-      for (std::size_t i = 0; i < next_flow_; ++i) {
-        const workload::Flow& f = workload_.flows[i];
-        if (rack_of(f.src_server) == m || rack_of(f.dst_server) == m) {
-          abort_rx_flow(f.id);
-        }
-      }
+      apply_rack_death(m, now);
     }
     swap_schedule(std::move(keep), round, slot);
   }
@@ -1017,7 +976,7 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
   // 5. Administrative rejoin of recovered racks whose plan recovery time
   // has passed. Driven only by plan recovery events — never inferred from
   // traffic — so a grey-convicted rack cannot oscillate back in.
-  for (const auto& f : plan_.rack_faults()) {
+  for (const auto& f : cfg_.faults.rack_faults()) {
     if (f.recover_at.is_infinite() || now < f.recover_at) continue;
     if (truth_down_[static_cast<std::size_t>(f.rack)] != 0 ||
         sched_.is_member(f.rack)) {
@@ -1031,7 +990,7 @@ SiriusSimResult SiriusSim::run() {
   const Time slot_len = cfg_.slots.slot_duration();
   const std::int64_t last_arrival_slot =
       workload_.last_arrival() / slot_len + 1;
-  const std::int64_t hard_stop = last_arrival_slot + cfg_.max_drain_slots;
+  const std::int64_t hard_stop = last_arrival_slot + kMaxDrainSlots;
 
   // Baseline for --stop-on-violation: only violations recorded *by this
   // run's slots* stop the loop, not leftovers from an earlier phase.
@@ -1182,18 +1141,20 @@ std::uint64_t SiriusSim::state_fingerprint() const {
       h, static_cast<std::uint64_t>(cfg_.slots.line_rate().bits_per_sec()));
   h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.queue_limit));
   h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.spread));
-  h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.max_vq_depth));
-  h = fnv_u64(h, cfg_.ideal ? 1u : 0u);
-  h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.routing));
-  h = fnv_u64(
-      h, static_cast<std::uint64_t>(cfg_.propagation_delay.picoseconds()));
+  // These words keep the layout of checkpoints written while the constants
+  // below were config fields (beside an `ideal` flag, and two "0 = auto"
+  // overrides, hashed as 0), so those checkpoints still restore.
+  h = fnv_u64(h, static_cast<std::uint64_t>(kMaxVqDepth));
+  h = fnv_u64(h, cfg_.routing == RoutingMode::kIdeal ? 1u : 0u);
+  h = fnv_u64(h, cfg_.routing == RoutingMode::kDirect ? 1u : 0u);
+  h = fnv_u64(h, static_cast<std::uint64_t>(kPropagationDelay.picoseconds()));
   h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.server_nic.bits_per_sec()));
-  h = fnv_u64(
-      h, static_cast<std::uint64_t>(cfg_.rack_switch_latency.picoseconds()));
-  h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.miss_threshold));
-  h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.node_down_quorum));
-  h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.retx_timeout_rounds));
-  h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.retry_limit));
+  h = fnv_u64(h,
+              static_cast<std::uint64_t>(kRackSwitchLatency.picoseconds()));
+  h = fnv_u64(h, static_cast<std::uint64_t>(kMissThreshold));
+  h = fnv_u64(h, 0u);  // node-down quorum override
+  h = fnv_u64(h, 0u);  // retransmission timeout override
+  h = fnv_u64(h, static_cast<std::uint64_t>(kRetryLimit));
   h = fnv_u64(h, static_cast<std::uint64_t>(workload_.flows.size()));
   for (const workload::Flow& f : workload_.flows) {
     h = fnv_u64(h, static_cast<std::uint64_t>(f.id));
@@ -1251,7 +1212,7 @@ void SiriusSim::serialize_state(ckpt::Writer& w) const {
   for (const auto& bucket : in_flight_) {
     w.u64(bucket.size());
     for (const Arrival& a : bucket) {
-      put_cell(w, a.cell);
+      node::put_cell(w, a.cell);
       w.i32(a.to);
     }
   }
@@ -1281,7 +1242,7 @@ void SiriusSim::serialize_state(ckpt::Writer& w) const {
     w.u64(retx_heap_.size());
     for (const RetxTimer& t : retx_heap_) {
       w.i64(t.deadline_round);
-      put_cell(w, t.cell);
+      node::put_cell(w, t.cell);
       w.i32(t.src);
     }
     w.i64(fault_round_);
@@ -1515,12 +1476,12 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
   }
   for (auto& bucket : in_flight_) {
     bucket.clear();
-    const std::size_t n = r.count(kCellBytes + 4, "in-flight cells");
+    const std::size_t n = r.count(node::kCellBytes + 4, "in-flight cells");
     if (!r.ok()) return false;
     bucket.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       Arrival a;
-      a.cell = get_cell(r);
+      a.cell = node::get_cell(r);
       a.to = r.i32();
       if (!r.ok()) return false;
       if (a.to < 0 || a.to >= cfg_.racks) {
@@ -1582,14 +1543,14 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
       truth_down_ = std::move(down);
     }
     const std::size_t timers =
-        r.count(8 + kCellBytes + 4, "retransmission timers");
+        r.count(8 + node::kCellBytes + 4, "retransmission timers");
     if (!r.ok()) return false;
     retx_heap_.clear();
     retx_heap_.reserve(timers);
     for (std::size_t i = 0; i < timers; ++i) {
       RetxTimer t;
       t.deadline_round = r.i64();
-      t.cell = get_cell(r);
+      t.cell = node::get_cell(r);
       t.src = r.i32();
       if (!r.ok()) return false;
       if (t.src < 0 || t.src >= cfg_.racks) {

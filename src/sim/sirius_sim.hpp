@@ -13,11 +13,12 @@
 //       (forward queue) if any, else a granted first-hop cell towards the
 //       peer (virtual queue).
 //
-// Two operating modes:
-//   * request/grant (default): the §4.3 protocol with queue bound Q;
-//   * ideal: no request/grant round; sources spray cells round-robin over
+// Three routing modes (RoutingMode):
+//   * kValiant (default): the §4.3 request/grant protocol with queue bound Q;
+//   * kIdeal: no request/grant round; sources spray cells round-robin over
 //     their flows to the schedule-determined peer (per-flow-queue /
-//     back-pressure idealisation, "Sirius (Ideal)" in Fig. 9).
+//     back-pressure idealisation, "Sirius (Ideal)" in Fig. 9);
+//   * kDirect: no relaying; a cell waits for its (src, dst) slot.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +51,21 @@ namespace sirius::sim {
 enum class RoutingMode {
   /// Valiant/Chang load balancing through a random intermediate (§4.2) —
   /// what Sirius does; needs the request/grant congestion control.
-  kValiant,
+  kValiant = 0,
   /// Direct-only: a cell waits for the slot that connects its source to
   /// its destination. No relaying, no congestion control — but each pair
   /// only owns uplinks/(N-1) of the node bandwidth, so skewed traffic
   /// strands most of the fabric (the §4.1 motivation for load balancing).
-  kDirect,
+  kDirect = 1,
+  /// Per-flow-queue idealisation ("Sirius (Ideal)" in Fig. 9): no
+  /// request/grant round; sources spray cells round-robin over their flows
+  /// to the schedule-determined peer, relays forward as in kValiant.
+  kIdeal,
 };
+
+/// Consecutive missed schedule bursts before an observer declares a peer's
+/// link dead (§4.5; rides out synchronisation hiccups).
+inline constexpr std::int32_t kMissThreshold = 3;
 
 struct SiriusSimConfig {
   std::int32_t racks = 64;
@@ -70,59 +79,29 @@ struct SiriusSimConfig {
   std::int32_t queue_limit = 4;  ///< Q of §4.3
   /// Request-spreading policy (see cc::SpreadPolicy).
   cc::SpreadPolicy spread = cc::SpreadPolicy::kDesynchronized;
-  /// A source stops requesting an intermediate whose virtual queue already
-  /// holds this many granted-but-unsent cells (bounds source-side backlog;
-  /// the source knows its own queues, so this is free to implement).
-  std::int32_t max_vq_depth = 2;
-  bool ideal = false;            ///< per-flow-queue idealisation
   RoutingMode routing = RoutingMode::kValiant;
-  /// One-way node -> grating -> node propagation (datacenter span).
-  Time propagation_delay = Time::ns(500);
   /// Server <-> rack-switch link rate (injection and delivery pacing).
   DataRate server_nic = DataRate::gbps(50);
-  /// Intra-rack forwarding latency through the electrical ToR.
-  Time rack_switch_latency = Time::ns(500);
   std::uint64_t seed = 1;
-  /// Safety cap: give up this many slots after the last flow arrival.
-  std::int64_t max_drain_slots = 5'000'000;
   /// Run the registered invariant auditors (schedule permutation, queue
   /// bound, cell conservation, reorder consistency) every this many rounds,
   /// plus once at the end of the run. 0 disables periodic audits.
   std::int64_t audit_period_rounds = 64;
-  /// Racks that are down for the whole run (§4.5 fault tolerance): the
-  /// schedule is built over the alive set, every node excludes them as
-  /// relay intermediates, and flows touching them are rejected at
-  /// injection (counted in SiriusSimResult::rejected_flows). Sugar for a
-  /// FaultPlan rack failure at t = 0 with no recovery; both mechanisms
-  /// share one code path.
-  std::vector<NodeId> failed_racks;
-  /// Declarative mid-run fault timeline (§4.5). Static t=0 entries behave
-  /// exactly like `failed_racks`; anything dynamic — a failure at t > 0, a
-  /// recovery, or a grey link — enables the in-band failover machinery
-  /// (request/grant Valiant mode only): per-node PeerHealth miss counters
+  /// Declarative fault timeline (§4.5). A rack failed at t = 0 with no
+  /// recovery is down for the whole run: the schedule is built over the
+  /// alive set, every node excludes it as a relay intermediate, and flows
+  /// touching it are rejected at injection (counted in
+  /// SiriusSimResult::rejected_flows). Anything dynamic — a failure at
+  /// t > 0, a recovery, or a grey link — enables the in-band failover
+  /// machinery (kValiant routing only): per-node PeerHealth miss counters
   /// keyed off the cyclic schedule, piggybacked membership views, queue
   /// purging with explicit drop accounting, bounded retransmission, and a
   /// schedule swap once the alive nodes' views agree.
   ctrl::FaultPlan faults;
-  /// Consecutive missed schedule bursts before an observer declares a
-  /// peer's link dead (§4.5; rides out synchronisation hiccups).
-  std::int32_t miss_threshold = 3;
-  /// Distinct observers whose reports convict a node as down, so one
-  /// locally-grey link cannot evict a healthy rack. 0 = auto:
-  /// max(2, alive_racks / 4).
-  std::int32_t node_down_quorum = 0;
-  /// Rounds a source waits, counted from the cell's first-hop
-  /// transmission, before assuming the cell was lost and retransmitting
-  /// it. 0 = auto: generously above the worst legitimate flight + relay
-  /// queue + flight latency, so only genuinely lost cells are resent.
-  std::int32_t retx_timeout_rounds = 0;
-  /// Retransmission attempts per cell before it is abandoned.
-  std::int32_t retry_limit = 16;
-  /// Record a goodput-vs-time curve (SiriusSimResult::recovery_curve)
-  /// binned at `recovery_bin`, and reduce it around the plan's first
-  /// disruption into FailoverStats::recovery.
+  /// Record a goodput-vs-time curve (SiriusSimResult::recovery_curve) and
+  /// reduce it around the plan's first disruption into
+  /// FailoverStats::recovery.
   bool record_recovery_curve = false;
-  Time recovery_bin = Time::us(2);
   /// Telemetry sink (metrics export, cell tracing, flight recorder,
   /// profiling) — see src/telemetry/. Null means the sim owns a private
   /// disabled hub: the counters still count (they back SiriusSimResult)
@@ -305,8 +284,8 @@ class SiriusSim {
   /// truth transitions, retransmission timeouts, view-driven exclusion
   /// sync, schedule swap, administrative rejoin, latency stats.
   void round_boundary_failover(std::int64_t round, std::int64_t slot, Time now);
-  void apply_rack_death(NodeId rack, std::int64_t round, Time now);
-  void sync_exclusions(NodeId observer, std::int64_t round, Time now);
+  void apply_rack_death(NodeId rack, Time now);
+  void sync_exclusions(NodeId observer, Time now);
   void expire_retx_timers(std::int64_t round, Time now);
   void swap_schedule(std::vector<NodeId> members, std::int64_t round,
                      std::int64_t slot);
@@ -320,7 +299,6 @@ class SiriusSim {
 
   SiriusSimConfig cfg_;
   const workload::Workload& workload_;
-  ctrl::FaultPlan plan_;  ///< cfg.faults with failed_racks folded in
   sched::CyclicSchedule sched_;
   Rng rng_;
   ///< grey-loss draws; separate stream so a fault plan does not perturb

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
+#include "ckpt/io.hpp"
 #include "common/histogram.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -28,7 +28,7 @@ struct FctSummary {
 };
 
 /// Collects completion records and summarises them.
-class FctTracker : public ckpt::Snapshottable {
+class FctTracker {
  public:
   /// Records a completed flow of `size` with completion latency `fct`.
   void record(DataSize size, Time fct);
@@ -37,10 +37,10 @@ class FctTracker : public ckpt::Snapshottable {
 
   FctSummary summarize();
 
-  /// Snapshottable: samples travel in insertion order so the summary's
+  /// Checkpoint: samples travel in insertion order so the summary's
   /// float accumulation is bit-identical after a restore.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
   PercentileTracker all_ms_;

@@ -5,13 +5,13 @@
 
 #include <cstdint>
 
-#include "ckpt/snapshot.hpp"
+#include "ckpt/io.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 
 namespace sirius::stats {
 
-class GoodputMeter : public ckpt::Snapshottable {
+class GoodputMeter {
  public:
   GoodputMeter(std::int32_t servers, DataRate server_rate)
       : servers_(servers), server_rate_(server_rate) {}
@@ -24,9 +24,9 @@ class GoodputMeter : public ckpt::Snapshottable {
   /// receiving at line rate for the whole window).
   [[nodiscard]] double normalized(Time horizon) const;
 
-  /// Snapshottable: geometry is validated against the constructed meter.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  /// Checkpoint: geometry is validated against the constructed meter.
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
   std::int32_t servers_;

@@ -23,7 +23,7 @@ class ByteGauge {
   [[nodiscard]] DataSize current() const { return current_; }
   [[nodiscard]] DataSize peak() const { return peak_; }
 
-  /// Snapshottable (value type): current level + sticky peak.
+  /// Checkpoint state: current level + sticky peak.
   void serialize(ckpt::Writer& w) const;
   bool restore(ckpt::Reader& r);
 
@@ -44,7 +44,7 @@ class OccupancyAggregator {
   /// Mean of the observed per-entity peaks, in bytes.
   [[nodiscard]] double mean_peak_bytes() const;
 
-  /// Snapshottable (value type).
+  /// Checkpoint state: worst peak, peak sum and entity count.
   void serialize(ckpt::Writer& w) const;
   bool restore(ckpt::Reader& r);
 

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
+#include "ckpt/io.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "telemetry/series.hpp"
@@ -42,7 +42,7 @@ struct RecoverySummary {
   bool recovered = false;
 };
 
-class RecoveryMeter : public ckpt::Snapshottable {
+class RecoveryMeter {
  public:
   /// `servers` and `server_rate` normalise bytes to fabric capacity, as in
   /// GoodputMeter; `bin` is the curve resolution.
@@ -72,9 +72,9 @@ class RecoveryMeter : public ckpt::Snapshottable {
     return series_;
   }
 
-  /// Snapshottable: geometry is validated, the accumulated bins travel.
-  void serialize(ckpt::Writer& w) const override;
-  bool restore(ckpt::Reader& r) override;
+  /// Checkpoint: geometry is validated, the accumulated bins travel.
+  void serialize(ckpt::Writer& w) const;
+  bool restore(ckpt::Reader& r);
 
  private:
   std::int32_t servers_;

@@ -116,7 +116,7 @@ sim::SiriusSimConfig failed_net(std::vector<NodeId> failed) {
   cfg.servers_per_rack = 4;
   cfg.base_uplinks = 4;
   cfg.seed = 9;
-  cfg.failed_racks = std::move(failed);
+  for (const NodeId r : failed) cfg.faults.fail_rack(r, Time::zero());
   return cfg;
 }
 
@@ -197,7 +197,7 @@ TEST(MidRunFault, HardFailureDetectedSwappedAndRecovered) {
   const auto& fo = r.failover;
 
   ASSERT_GE(fo.detection_rounds, 1);
-  EXPECT_LE(fo.detection_rounds, cfg.miss_threshold);
+  EXPECT_LE(fo.detection_rounds, sim::kMissThreshold);
   ASSERT_GE(fo.dissemination_rounds, fo.detection_rounds);
   EXPECT_LE(fo.dissemination_rounds, fo.detection_rounds + 1);
   EXPECT_EQ(fo.schedule_swaps, 1);
@@ -232,7 +232,7 @@ TEST(MidRunFault, GreyLinkDetectedByVictimWithoutConviction) {
   // Detected in-band at the same consecutive-miss threshold a hard
   // failure would be (loss 1.0 misses every burst).
   ASSERT_GE(fo.detection_rounds, 1);
-  EXPECT_LE(fo.detection_rounds, cfg.miss_threshold);
+  EXPECT_LE(fo.detection_rounds, sim::kMissThreshold);
 
   // ... but never convicted: one observer is below the quorum.
   EXPECT_EQ(fo.schedule_swaps, 0);
@@ -244,6 +244,30 @@ TEST(MidRunFault, GreyLinkDetectedByVictimWithoutConviction) {
   EXPECT_EQ(fo.retx_abandoned, 0);
   EXPECT_EQ(r.incomplete_flows, 0);
   EXPECT_TRUE(fo.recovery.recovered);
+}
+
+TEST(MidRunFault, QuorumOfGreyLinksVotesOutLiveRack) {
+  // Two observers lose every burst from rack 2 for the whole window: that
+  // meets the 8-rack quorum of two, so the live rack is convicted and
+  // swapped out. A false conviction has a crashed rack's blast radius —
+  // its queues are purged and every flow touching it is aborted — and
+  // the rest of the fabric still drains, with clean auditors throughout.
+  auto cfg = faulted_net();
+  cfg.faults.grey_link(2, 5, 1.0, Time::us(40), Time::us(120));
+  cfg.faults.grey_link(2, 6, 1.0, Time::us(40), Time::us(120));
+  const auto w = failed_wl(cfg, 0.5, 800);
+  check::ScopedCollect collect;
+  sim::SiriusSim sim(cfg, w);
+  const auto r = sim.run();
+  const auto& fo = r.failover;
+
+  ASSERT_GE(fo.detection_rounds, 1);
+  EXPECT_EQ(fo.schedule_swaps, 1);
+  EXPECT_FALSE(sim.schedule().is_member(2));
+  EXPECT_GT(fo.flows_aborted, 0);
+  EXPECT_GT(fo.cells_dropped, 0);
+  EXPECT_EQ(r.incomplete_flows, 0);
+  EXPECT_EQ(collect.violations(), 0);
 }
 
 TEST(MidRunFault, GreyDetectionLatencyGrowsAsLossFalls) {
@@ -260,7 +284,7 @@ TEST(MidRunFault, GreyDetectionLatencyGrowsAsLossFalls) {
   };
   const auto heavy = detect_rounds(0.5);
   const auto light = detect_rounds(0.10);
-  ASSERT_GE(heavy, faulted_net().miss_threshold);  // can't be faster than k
+  ASSERT_GE(heavy, sim::kMissThreshold);  // can't be faster than k
   EXPECT_LT(heavy, 100);
   // -1 (never detected before the run drains) also satisfies the shape;
   // with this seed the run is long enough to catch it.

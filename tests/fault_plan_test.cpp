@@ -51,7 +51,7 @@ TEST(FaultPlan, DynamicVsStatic) {
 
   ctrl::FaultPlan static_only;
   static_only.fail_rack(0, Time::zero());
-  EXPECT_FALSE(static_only.dynamic());  // the failed_racks case
+  EXPECT_FALSE(static_only.dynamic());  // racks down for the whole run
   EXPECT_EQ(static_only.down_at_start(), std::vector<NodeId>{0});
   EXPECT_TRUE(static_only.first_disruption().is_infinite());
 

@@ -77,7 +77,7 @@ TEST(Fig9Shape, IdealSiriusLowerFctAtLowLoad) {
   const auto w = make_workload(cfg, 0.1);
   SiriusVariant real;
   SiriusVariant ideal;
-  ideal.ideal = true;
+  ideal.routing = sim::RoutingMode::kIdeal;
   const RunMetrics r_real = run_sirius(cfg, real, w);
   const RunMetrics r_ideal = run_sirius(cfg, ideal, w);
   EXPECT_LT(r_ideal.short_fct_p99_ms, r_real.short_fct_p99_ms);

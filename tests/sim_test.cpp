@@ -126,7 +126,7 @@ TEST(SiriusSim, SingleFlowIdealFasterThanRequestGrant) {
   SiriusSim rg(cfg, w);
   const Time t_rg = rg.run().per_flow_completion[0];
   SiriusSimConfig ideal_cfg = cfg;
-  ideal_cfg.ideal = true;
+  ideal_cfg.routing = RoutingMode::kIdeal;
   SiriusSim ideal(ideal_cfg, w);
   const Time t_ideal = ideal.run().per_flow_completion[0];
   EXPECT_LT(t_ideal, t_rg);

@@ -200,6 +200,19 @@ ExperimentConfig experiment_from(const Args& a) {
   return cfg;
 }
 
+// The Sirius knobs of `run`, `bisect` and `fork`: --system sirius-ideal,
+// --q, --guardband-ns and --multiplier.
+SiriusVariant variant_from(const Args& a) {
+  SiriusVariant v;
+  if (opt_str(a, "system", "sirius") == "sirius-ideal") {
+    v.routing = sim::RoutingMode::kIdeal;
+  }
+  v.queue_limit = static_cast<std::int32_t>(opt_int(a, "q", 4));
+  v.guardband = Time::from_ns(opt_double(a, "guardband-ns", 10.0));
+  v.uplink_multiplier = opt_double(a, "multiplier", 1.5);
+  return v;
+}
+
 telemetry::TelemetryConfig telemetry_from(const Args& a) {
   telemetry::TelemetryConfig tc;
   tc.metrics_out = opt_str(a, "metrics-out", "");
@@ -246,12 +259,7 @@ std::optional<SimSetup> build_setup(const Args& a, int* rc) {
   out.cfg = experiment_from(a);
   out.load = opt_double(a, "load", 0.5);
 
-  SiriusVariant v;
-  v.ideal = opt_str(a, "system", "sirius") == "sirius-ideal";
-  v.queue_limit = static_cast<std::int32_t>(opt_int(a, "q", 4));
-  v.guardband = Time::from_ns(opt_double(a, "guardband-ns", 10.0));
-  v.uplink_multiplier = opt_double(a, "multiplier", 1.5);
-  out.s = make_sirius_config(out.cfg, v);
+  out.s = make_sirius_config(out.cfg, variant_from(a));
 
   const std::string trace = opt_str(a, "trace", "");
   if (!trace.empty()) {
@@ -272,13 +280,6 @@ std::optional<SimSetup> build_setup(const Args& a, int* rc) {
   const std::string fault = opt_str(a, "fault", "");
   const std::string grey = opt_str(a, "grey", "");
   out.have_faults = !fail.empty() || !fault.empty() || !grey.empty();
-  for (std::size_t pos = 0; pos < fail.size();) {
-    const std::size_t comma = fail.find(',', pos);
-    out.s.failed_racks.push_back(static_cast<NodeId>(
-        std::strtol(fail.substr(pos, comma - pos).c_str(), nullptr, 10)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
   if (!fault.empty()) {
     if (const auto err = out.s.faults.parse_fault(fault)) {
       std::fprintf(stderr, "error: --fault: %s\n", err->c_str());
@@ -293,17 +294,25 @@ std::optional<SimSetup> build_setup(const Args& a, int* rc) {
       return std::nullopt;
     }
   }
-  // Validate the whole timeline — including the --fail sugar — against
-  // the rack count before touching the simulator: out-of-range ids and
-  // duplicate failures are user errors, not invariant violations.
-  ctrl::FaultPlan all = out.s.faults;
-  for (const NodeId fr : out.s.failed_racks) all.fail_rack(fr, Time::zero());
-  if (const auto err = all.validate(out.s.racks)) {
+  // --fail racks are down for the whole run.
+  for (std::size_t pos = 0; pos < fail.size();) {
+    const std::size_t comma = fail.find(',', pos);
+    out.s.faults.fail_rack(
+        static_cast<NodeId>(std::strtol(
+            fail.substr(pos, comma - pos).c_str(), nullptr, 10)),
+        Time::zero());
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  // Validate the whole timeline against the rack count before touching the
+  // simulator: out-of-range ids and duplicate failures are user errors, not
+  // invariant violations.
+  if (const auto err = out.s.faults.validate(out.s.racks)) {
     std::fprintf(stderr, "error: fault plan: %s\n", err->c_str());
     *rc = 1;
     return std::nullopt;
   }
-  out.dynamic = all.dynamic();
+  out.dynamic = out.s.faults.dynamic();
   out.s.record_recovery_curve = out.dynamic;
   return out;
 }
@@ -566,12 +575,7 @@ int cmd_run(const Args& a) {
                     fo.recovery.recovered ? "" : " (not recovered)");
       }
     } else {
-      SiriusVariant v;
-      v.ideal = (system == "sirius-ideal");
-      v.queue_limit = static_cast<std::int32_t>(opt_int(a, "q", 4));
-      v.guardband = Time::from_ns(opt_double(a, "guardband-ns", 10.0));
-      v.uplink_multiplier = opt_double(a, "multiplier", 1.5);
-      m = run_sirius(cfg, v, w, &hub);
+      m = run_sirius(cfg, variant_from(a), w, &hub);
       print_result(m);
     }
   } else {
