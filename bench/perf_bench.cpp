@@ -3,7 +3,7 @@
 // Runs four canonical end-to-end scenarios — a 128-rack load-sweep point,
 // a fault-storm run with mid-run failover, a telemetry-on vs telemetry-off
 // pair (which also asserts the bit-identical determinism contract with the
-// out-of-band sampler thread live), and a checkpoint-cadence run — and
+// hierarchical profiler live), and a checkpoint-cadence run — and
 // emits one schema'd JSON document: per-config cells/sec, wall-ns/slot,
 // peak RSS over a pre-scenario baseline, checkpoint costs, plus a
 // provenance block (git sha, compiler, flags, build type) and a
@@ -193,11 +193,10 @@ void scenario_fault_storm(const Options& opt, const Scale& s,
 }
 
 /// Telemetry-off vs telemetry-on pair. The "on" run attaches a hub with
-/// the hierarchical profiler live and the out-of-band sampler thread
-/// snapshotting the phase board at 500 host-us cadence, then asserts the
-/// determinism contract: results bit-identical to the bare run. Emits two
-/// config entries plus the measured overhead, and (with --flame) the
-/// flame-style attribution JSON of the instrumented run.
+/// the hierarchical profiler live, then asserts the determinism contract:
+/// results bit-identical to the bare run. Emits two config entries plus
+/// the measured overhead, and (with --flame) the flame-style attribution
+/// JSON of the instrumented run.
 bool scenario_telemetry_pair(const Options& opt, const Scale& s,
                              std::vector<std::string>* out) {
   const std::string rack_tag = std::to_string(s.other_racks) + "rack";
@@ -215,12 +214,10 @@ bool scenario_telemetry_pair(const Options& opt, const Scale& s,
 
   telemetry::TelemetryConfig tcfg;
   tcfg.profile = true;
-  tcfg.oob_sample_us = 500;
   // The flame export comes from the full-scale instrumented run (or the
   // quick one under --quick, where the full pair never runs).
   const bool flame_here = !opt.flame.empty() &&
                           (s.prefix[0] == '\0' || opt.quick);
-  std::int64_t oob_samples = 0;
   std::string flame_json;
   const std::int64_t rss_on = bench::peak_rss_kb();
   const Measured on = best_of(opt, [&] {
@@ -229,16 +226,13 @@ bool scenario_telemetry_pair(const Options& opt, const Scale& s,
     run_cfg.telemetry = &hub;
     sim::SiriusSim sim(run_cfg, w);
     auto r = sim.run();
-    (void)hub.finish();  // joins the sampler thread
-    oob_samples =
-        static_cast<std::int64_t>(hub.oob_sampler().samples().size());
     if (flame_here) flame_json = hub.profiler().flame_json();
     return r;
   });
 
   // Determinism contract (see telemetry/hub.hpp): the hub is write-only
-  // from the sim's point of view, so the instrumented run — sampler
-  // thread and all — must be bit-identical to the bare run.
+  // from the sim's point of view, so the instrumented run must be
+  // bit-identical to the bare run.
   const bool identical =
       on.result.slots_simulated == off.result.slots_simulated &&
       on.result.cells_delivered == off.result.cells_delivered &&
@@ -263,7 +257,6 @@ bool scenario_telemetry_pair(const Options& opt, const Scale& s,
               off_ns > 0.0
                   ? (static_cast<double>(on.wall_ns) / off_ns - 1.0) * 100.0
                   : 0.0);
-    o.add_int("oob_samples", oob_samples);
     o.add_bool("bit_identical", identical);
     out->push_back(o.str());
   }

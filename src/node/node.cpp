@@ -173,19 +173,6 @@ void Node::push_retx(const Cell& c) {
   gauge_.add(cell_capacity_);
 }
 
-std::int64_t Node::drain_vq_to_retx(NodeId intermediate) {
-  auto& q = peers_[static_cast<std::size_t>(intermediate)].vq;
-  std::int64_t moved = 0;
-  while (!q.empty()) {
-    push_retx(q.front());
-    q.pop();
-    gauge_.remove(cell_capacity_);
-    ++moved;
-  }
-  update_occupied(intermediate);
-  return moved;
-}
-
 std::int64_t Node::purge_dst(NodeId dst,
                              const std::function<void(NodeId)>& on_vq_purge) {
   std::int64_t dropped = 0;

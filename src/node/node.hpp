@@ -128,11 +128,6 @@ class Node {
 
   // ---- failover queue surgery (§4.5) -------------------------------------
 
-  /// Moves every granted-but-unsent cell queued towards `intermediate`
-  /// back into the retransmission queue: the relay died before serving
-  /// them, and its grant accounting died with it. Returns the cell count.
-  std::int64_t drain_vq_to_retx(NodeId intermediate);
-
   /// Drops every queued cell destined to `dst` (the destination rack
   /// died). VQ cells still hold a grant at their — alive — intermediate,
   /// so `on_vq_purge` is invoked with that intermediate for each; the

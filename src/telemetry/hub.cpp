@@ -23,14 +23,8 @@ Hub::Hub(TelemetryConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.trace_out.empty()) {
     tracer_.configure(cfg_.trace_flow_sample, cfg_.trace_max_events);
   }
-  // A flame export or an out-of-band sampler needs the scopes live, so
-  // either implies `profile`.
-  profiler_.enable(cfg_.profile || !cfg_.flame_out.empty() ||
-                   cfg_.oob_sample_us > 0);
-  if (cfg_.oob_sample_us > 0) {
-    profiler_.publish_to(&oob_sampler_.board());
-    oob_sampler_.start(cfg_.oob_sample_us);
-  }
+  // A flame export needs the scopes live, so it implies `profile`.
+  profiler_.enable(cfg_.profile || !cfg_.flame_out.empty());
 }
 
 Hub::~Hub() {
@@ -52,9 +46,6 @@ void Hub::attach_nodes(std::int32_t nodes) {
 }
 
 std::vector<Hub::Artifact> Hub::finish() {
-  // Stop the out-of-band thread first: its final snapshot must precede
-  // the samples_json() read below (stop() joins, which publishes).
-  oob_sampler_.stop();
   std::vector<Artifact> out;
   if (sampler_.enabled() && !cfg_.metrics_out.empty()) {
     Artifact a{"metrics", cfg_.metrics_out, false};
@@ -71,12 +62,6 @@ std::vector<Hub::Artifact> Hub::finish() {
   if (!cfg_.flame_out.empty()) {
     Artifact a{"flame", cfg_.flame_out, false};
     a.ok = write_file_atomic(cfg_.flame_out, profiler_.flame_json() + "\n");
-    out.push_back(std::move(a));
-  }
-  if (oob_sampler_.started() && !cfg_.oob_out.empty()) {
-    Artifact a{"oob", cfg_.oob_out, false};
-    a.ok =
-        write_file_atomic(cfg_.oob_out, oob_sampler_.samples_json() + "\n");
     out.push_back(std::move(a));
   }
   return out;

@@ -1,5 +1,5 @@
 // Telemetry hub: one object owning the run's metrics registry, cell
-// tracer, flight recorder, sampler and profiler.
+// tracer, flight recorder, time-series sampler and profiler.
 //
 // Producers take a Hub* (SiriusSimConfig::telemetry, EsnConfig::telemetry)
 // and emit through it; a null pointer means "own disabled hub" — counters
@@ -23,7 +23,6 @@
 #include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/perf_sampler.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/trace.hpp"
 
@@ -48,17 +47,10 @@ struct TelemetryConfig {
   /// Hierarchical profile (flame-style JSON) output path; non-empty
   /// implies `profile`.
   std::string flame_out;
-  /// Out-of-band sampler cadence in host microseconds (0 = off; implies
-  /// `profile` so the phase board gets fed). The sampler runs on a
-  /// background thread and never perturbs the sim thread.
-  std::int64_t oob_sample_us = 0;
-  /// Out-of-band sample series (`sirius.oob.v1` JSON) output path.
-  std::string oob_out;
 
   [[nodiscard]] bool any_enabled() const {
     return !metrics_out.empty() || !trace_out.empty() ||
-           flight_recorder_depth > 0 || profile || !flame_out.empty() ||
-           oob_sample_us > 0;
+           flight_recorder_depth > 0 || profile || !flame_out.empty();
   }
 };
 
@@ -78,7 +70,6 @@ class Hub {
   [[nodiscard]] CellTracer& tracer() { return tracer_; }
   [[nodiscard]] FlightRecorder& recorder() { return recorder_; }
   [[nodiscard]] TimeSeriesSampler& sampler() { return sampler_; }
-  [[nodiscard]] PerfSampler& oob_sampler() { return oob_sampler_; }
   [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
   /// Called once by the simulation that adopts this hub: sizes the
@@ -101,14 +92,14 @@ class Hub {
 
   /// One artifact finish() wrote (or failed to write).
   struct Artifact {
-    std::string kind;  ///< "metrics" | "trace" | "flame" | "oob"
+    std::string kind;  ///< "metrics" | "trace" | "flame"
     std::string path;
     bool ok = false;
   };
 
-  /// Stops the out-of-band sampler and flushes the metrics series, the
-  /// trace, the flame profile and the sampler series to their configured
-  /// paths. Idempotent per hub; returns what was written for the manifest.
+  /// Flushes the metrics series, the trace and the flame profile to their
+  /// configured paths. Idempotent per hub; returns what was written for
+  /// the manifest.
   std::vector<Artifact> finish();
 
  private:
@@ -118,7 +109,6 @@ class Hub {
   CellTracer tracer_;
   FlightRecorder recorder_;
   Profiler profiler_;
-  PerfSampler oob_sampler_;
   std::int32_t nodes_ = 0;
   bool hook_installed_ = false;
 };

@@ -80,11 +80,6 @@ void Profiler::exit_scope(std::uint64_t nanos) {
   if (n.parent > 0) {
     tree_[static_cast<std::size_t>(n.parent)].child_nanos += nanos;
   }
-  if (board_ != nullptr) {
-    const auto s = static_cast<std::size_t>(n.scope);
-    board_->nanos[s].fetch_add(nanos, std::memory_order_relaxed);
-    board_->calls[s].fetch_add(1, std::memory_order_relaxed);
-  }
   cur_ = n.parent;
 }
 

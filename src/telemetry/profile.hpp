@@ -1,12 +1,11 @@
 // Wall-clock profiling scopes for the simulator hot paths.
 //
 // This is a sanctioned wall-clock island in src/ (the sirius-lint
-// `no-wallclock` rule carves out src/telemetry/profile.* and
-// src/telemetry/perf_sampler.* and nothing else): the profiler measures
-// how long the *simulator* takes on the host, strictly outside simulated
-// time. Nothing here reads or feeds Time — a profiled and an unprofiled
-// run produce bit-identical simulation results, they just burn different
-// amounts of host CPU.
+// `no-wallclock` rule carves out src/telemetry/profile.* and nothing
+// else): the profiler measures how long the *simulator* takes on the
+// host, strictly outside simulated time. Nothing here reads or feeds
+// Time — a profiled and an unprofiled run produce bit-identical
+// simulation results, they just burn different amounts of host CPU.
 //
 // Attribution is hierarchical: scopes nest (SIRIUS_PROFILE_SCOPE is RAII,
 // so entry/exit are strictly LIFO) and the profiler maintains a call tree
@@ -17,19 +16,11 @@
 // double-counting nested scopes. flame_json() exports the same tree as a
 // flame-graph-style JSON document (docs/OBSERVABILITY.md).
 //
-// Out-of-band publication: when a PhaseBoard is attached via publish_to(),
-// every scope exit additionally folds its elapsed nanoseconds into the
-// board's relaxed per-phase atomics. The board is the one-way data feed
-// for telemetry::PerfSampler's background thread; the sim thread never
-// reads it back, never locks, and never blocks on it, so sampling cannot
-// perturb the determinism-critical slot loop.
-//
 // Usage: bind a Profiler, then put SIRIUS_PROFILE_SCOPE(profiler, scope)
 // at the top of a block. Disabled profilers cost one branch; without
 // SIRIUS_TELEMETRY the macro compiles away entirely.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,16 +49,6 @@ inline constexpr std::size_t kProfScopeCount =
 
 [[nodiscard]] const char* prof_scope_name(ProfScope s);
 
-/// Relaxed per-phase counters shared between the sim thread (writer, via
-/// Profiler scope exits) and the out-of-band sampler thread (reader).
-/// Monotone cumulative values; the sampler diffs successive snapshots.
-/// Plain relaxed atomics: there is no inter-field consistency requirement
-/// — a sample is a statistical observation, not a ledger.
-struct PhaseBoard {
-  std::atomic<std::uint64_t> nanos[kProfScopeCount] = {};
-  std::atomic<std::uint64_t> calls[kProfScopeCount] = {};
-};
-
 class Profiler {
  public:
   struct ScopeStats {
@@ -95,11 +76,6 @@ class Profiler {
 
   void enable(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// Attach (or detach, with nullptr) the out-of-band phase board. The
-  /// board must outlive every subsequent scope exit; the Hub wires its
-  /// sampler's board before the run and owns both ends.
-  void publish_to(PhaseBoard* board) { board_ = board; }
 
   /// Opens scope `s` as a child of the innermost open scope (tree
   /// bookkeeping only — the caller reads the clock after, so bookkeeping
@@ -141,7 +117,6 @@ class Profiler {
   bool enabled_ = false;
   std::vector<TreeNode> tree_;
   std::int32_t cur_ = -1;  ///< innermost open node; -1 = tree unopened
-  PhaseBoard* board_ = nullptr;
 };
 
 /// RAII scope timer; reads the host clock only while the profiler is

@@ -136,8 +136,8 @@ TEST(Node, OccupancyTracksForwardAndVirtualQueues) {
   EXPECT_TRUE(n.occupied(3));  // the VQ still holds a cell
   ASSERT_TRUE(n.pop_vq(3).has_value());
   EXPECT_FALSE(n.occupied(3));
-  n.push_vq(5, cell_no(3));
-  EXPECT_EQ(n.drain_vq_to_retx(5), 1);
+  n.push_retx(cell_no(5));  // dst_node 5
+  EXPECT_EQ(n.retx_depth(5), 1);
   EXPECT_FALSE(n.occupied(5));  // retx cells are sent on grants, not bits
   n.push_fq(6, cell_no(4));
   EXPECT_EQ(n.purge_all_queues(), 2);

@@ -8,7 +8,9 @@
 #   * the manifest is schema "sirius.run.v1" with results + artifacts,
 #   * the trace is Chrome trace-event JSON with a non-empty event array,
 #   * the metrics JSONL rows parse and carry the core counters.
-# Finally asserts the CLI rejects an unknown option with exit code 2.
+# Finally asserts the CLI rejects bad telemetry options with exit code 2
+# before any simulation work: an unknown option, a non-positive metrics
+# cadence, and a flame path whose directory does not exist.
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(METRICS ${OUT_DIR}/metrics.jsonl)
 set(TRACE ${OUT_DIR}/trace.json)
@@ -88,4 +90,36 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "unknown option --definitely-not-a-flag")
   message(FATAL_ERROR "unknown-option error message missing:\n${err}")
+endif()
+
+# ---- a non-positive metrics cadence is a user error, not an invariant --------
+execute_process(
+  COMMAND ${CLI} run --racks 8 --servers-per-rack 2 --flows 20
+          --metrics-out ${OUT_DIR}/zero_cadence.jsonl --metrics-every-us 0
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+    "--metrics-every-us 0 exited ${rc}, expected 2:\n${out}${err}")
+endif()
+if(NOT err MATCHES "--metrics-every-us must be positive")
+  message(FATAL_ERROR "zero-cadence error message missing:\n${err}")
+endif()
+
+# ---- the flame output directory is checked before the run -------------------
+execute_process(
+  COMMAND ${CLI} run --racks 8 --servers-per-rack 2 --flows 20
+          --profile-flame ${OUT_DIR}/missing/f.json
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+    "--profile-flame into a missing directory exited ${rc}, expected 2:\n"
+    "${out}${err}")
+endif()
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR
+    "--profile-flame into a missing directory ran the simulation:\n${out}")
 endif()

@@ -11,8 +11,7 @@
 //                    [--trace-events out.json] [--trace-sample N]
 //                    [--trace-max-events N] [--flight-recorder DEPTH]
 //                    [--manifest run.json] [--profile]
-//                    [--profile-flame flame.json] [--oob-sample-us U]
-//                    [--oob-out oob.json]
+//                    [--profile-flame flame.json]
 //                    [--checkpoint-every-us U --checkpoint-out ck-{t}.ckpt]
 //                    [--restore snapshot.ckpt]
 //
@@ -29,10 +28,7 @@
 // self-describing run manifest, `--profile` prints a wall-clock table of
 // the simulator hot paths with hierarchical self/total attribution.
 // `--profile-flame` writes the same attribution tree as flame-graph-style
-// JSON; `--oob-sample-us` runs the out-of-band perf sampler (a background
-// thread snapshotting per-phase counters every U host-microseconds) with
-// `--oob-out` as its `sirius.oob.v1` export. None of these change
-// simulation results.
+// JSON. None of these change simulation results.
 //
 // Checkpointing (docs/OPERABILITY.md): `--checkpoint-every-us` +
 // `--checkpoint-out` write a crash-safe `sirius.ckpt.v1` snapshot of the
@@ -109,7 +105,6 @@ const std::vector<const char*>& allowed_options(const std::string& command) {
       "trace-sample", "trace-max-events",
       "flight-recorder",                "manifest",
       "profile",      "profile-flame",
-      "oob-sample-us",                  "oob-out",
       "checkpoint-every-us",
       "checkpoint-out",                 "restore"};
   static const std::vector<const char*> kBisect = {
@@ -225,8 +220,6 @@ telemetry::TelemetryConfig telemetry_from(const Args& a) {
       static_cast<std::int32_t>(opt_int(a, "flight-recorder", 0));
   tc.profile = a.options.count("profile") > 0;
   tc.flame_out = opt_str(a, "profile-flame", "");
-  tc.oob_sample_us = opt_int(a, "oob-sample-us", 0);
-  tc.oob_out = opt_str(a, "oob-out", "");
   return tc;
 }
 
@@ -448,12 +441,17 @@ int cmd_run(const Args& a) {
 
   const telemetry::TelemetryConfig tc = telemetry_from(a);
   const std::string manifest_opt = opt_str(a, "manifest", "");
-  for (const std::string& out : {tc.metrics_out, tc.trace_out, manifest_opt}) {
+  for (const std::string& out :
+       {tc.metrics_out, tc.trace_out, tc.flame_out, manifest_opt}) {
     if (!out.empty() && !output_dir_exists(out)) {
       std::fprintf(stderr, "error: output directory for '%s' does not exist\n",
                    out.c_str());
       return 2;
     }
+  }
+  if (tc.metrics_every <= Time::zero()) {
+    std::fprintf(stderr, "error: --metrics-every-us must be positive\n");
+    return 2;
   }
   const std::optional<CkptOpts> ck = ckpt_opts_from(a);
   if (!ck.has_value()) return 2;

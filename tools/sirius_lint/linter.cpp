@@ -47,7 +47,7 @@ constexpr Rule kRules[] = {
      "sirius::Rng so runs stay reproducible"},
     {"no-wallclock",
      "wall-clock reads are banned in src/; use simulated time "
-     "(src/telemetry/profile.* and perf_sampler.* may read steady_clock)",
+     "(src/telemetry/profile.* may read steady_clock)",
      kWallclockPattern,
      &in_src,
      "wall-clock read in library code: simulator behaviour must depend only "
@@ -218,7 +218,7 @@ std::string rtrim(const std::string& s) {
 
 namespace {
 
-// Wallclock-exempt files (src/telemetry/profile.* and perf_sampler.*) may call
+// Wallclock-exempt files (src/telemetry/profile.*) may call
 // steady_clock::now() and nothing else: walk every wallclock match on the
 // line and return true if any match is a non-`::now()` primitive, or a
 // `::now()` whose receiver is not steady_clock. std::regex has no
@@ -398,7 +398,7 @@ FileKind classify(const std::filesystem::path& path) {
       if (next != norm.end() && *next == "telemetry") {
         auto file = std::next(next);
         if (file != norm.end() && std::next(file) == norm.end() &&
-            (file->stem() == "profile" || file->stem() == "perf_sampler")) {
+            file->stem() == "profile") {
           k.wallclock_exempt = true;
         }
       }

@@ -44,12 +44,10 @@ struct FileKind {
   bool is_header = false;   ///< .hpp/.h/.hh: header-only rules apply
   bool is_src = false;      ///< library code: determinism + stdio rules apply
   bool unit_exempt = false; ///< src/common, src/check: may touch raw units
-  /// src/telemetry/profile.* and perf_sampler.* — the wall-clock
-  /// profiler and the out-of-band sampler. `no-wallclock` still applies
-  /// but permits `steady_clock::now()` — and only that — so the
-  /// monotonic profiling clock and the sampler cadence can live there
-  /// while calendar-time reads (time(nullptr), gettimeofday,
-  /// system_clock::now) stay banned.
+  /// src/telemetry/profile.* — the wall-clock profiler. `no-wallclock`
+  /// still applies but permits `steady_clock::now()` — and only that —
+  /// so the monotonic profiling clock can live there while calendar-time
+  /// reads (time(nullptr), gettimeofday, system_clock::now) stay banned.
   bool wallclock_exempt = false;
 };
 
