@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // AWGR routing, schedule lookups, laser-latency queries, RNG, workload
 // generation, framing and FEC. End-to-end simulator throughput and the
-// machine-readable BENCH_<n>.json snapshots come from perf_bench.
+// machine-readable BENCH_<n>.json snapshots come from benchmark/run.py.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -1,25 +1,36 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace sirius {
 
+std::optional<std::int64_t> parse_int(const std::string& s) {
+  if (s.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return static_cast<std::int64_t>(parsed);
+}
+
+std::optional<double> parse_double(const std::string& s) {
+  if (s.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(s.c_str(), &end);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return parsed;
+}
+
 std::optional<std::int64_t> env_int(const std::string& name) {
   const char* v = std::getenv(name.c_str());
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0') return std::nullopt;
-  return static_cast<std::int64_t>(parsed);
+  return v == nullptr ? std::nullopt : parse_int(v);
 }
 
 std::optional<double> env_double(const std::string& name) {
   const char* v = std::getenv(name.c_str());
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') return std::nullopt;
-  return parsed;
+  return v == nullptr ? std::nullopt : parse_double(v);
 }
 
 std::int64_t env_int_or(const std::string& name, std::int64_t fallback) {

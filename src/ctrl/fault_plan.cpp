@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/config.hpp"
 
 namespace sirius::ctrl {
 
@@ -28,20 +29,6 @@ std::vector<std::string> split_specs(const std::string& s) {
     pos = comma + 1;
   }
   return out;
-}
-
-bool parse_int(const std::string& s, std::int64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool parse_num(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
 }
 
 }  // namespace
@@ -156,29 +143,27 @@ std::optional<std::string> FaultPlan::parse_fault(const std::string& spec) {
     if (at == std::string::npos) {
       return fmt_error("expected RACK@T_US[+DURATION_US]", one);
     }
-    std::int64_t rack = 0;
-    if (!parse_int(one.substr(0, at), rack)) {
-      return fmt_error("bad rack id", one);
-    }
+    const std::optional<std::int64_t> rack = parse_int(one.substr(0, at));
+    if (!rack) return fmt_error("bad rack id", one);
     std::string times = one.substr(at + 1);
     const std::size_t plus = times.find('+');
-    double fail_us = 0.0;
-    double recover_after_us = -1.0;
+    std::optional<double> recover_after_us;
     if (plus != std::string::npos) {
-      if (!parse_num(times.substr(plus + 1), recover_after_us) ||
-          recover_after_us <= 0.0) {
+      recover_after_us = parse_double(times.substr(plus + 1));
+      if (!recover_after_us || *recover_after_us <= 0.0) {
         return fmt_error("bad recovery duration", one);
       }
       times = times.substr(0, plus);
     }
-    if (!parse_num(times, fail_us) || fail_us < 0.0) {
+    const std::optional<double> fail_us = parse_double(times);
+    if (!fail_us || *fail_us < 0.0) {
       return fmt_error("bad failure time", one);
     }
-    const Time fail_at = Time::from_ns(fail_us * 1e3);
-    const Time recover_at = recover_after_us < 0.0
-                                ? Time::infinity()
-                                : fail_at + Time::from_ns(recover_after_us * 1e3);
-    fail_rack(static_cast<NodeId>(rack), fail_at, recover_at);
+    const Time fail_at = Time::from_ns(*fail_us * 1e3);
+    const Time recover_at =
+        recover_after_us ? fail_at + Time::from_ns(*recover_after_us * 1e3)
+                         : Time::infinity();
+    fail_rack(static_cast<NodeId>(*rack), fail_at, recover_at);
   }
   return std::nullopt;
 }
@@ -191,12 +176,10 @@ std::optional<std::string> FaultPlan::parse_grey(const std::string& spec) {
         arrow > at1) {
       return fmt_error("expected SRC>DST@LOSS[@FROM_US-UNTIL_US]", one);
     }
-    std::int64_t src = 0;
-    std::int64_t dst = 0;
-    if (!parse_int(one.substr(0, arrow), src) ||
-        !parse_int(one.substr(arrow + 1, at1 - arrow - 1), dst)) {
-      return fmt_error("bad rack id", one);
-    }
+    const std::optional<std::int64_t> src = parse_int(one.substr(0, arrow));
+    const std::optional<std::int64_t> dst =
+        parse_int(one.substr(arrow + 1, at1 - arrow - 1));
+    if (!src || !dst) return fmt_error("bad rack id", one);
     std::string rest = one.substr(at1 + 1);
     const std::size_t at2 = rest.find('@');
     Time from = Time::zero();
@@ -205,20 +188,22 @@ std::optional<std::string> FaultPlan::parse_grey(const std::string& spec) {
       const std::string window = rest.substr(at2 + 1);
       rest = rest.substr(0, at2);
       const std::size_t dash = window.find('-');
-      double from_us = 0.0;
-      double until_us = 0.0;
-      if (dash == std::string::npos ||
-          !parse_num(window.substr(0, dash), from_us) ||
-          !parse_num(window.substr(dash + 1), until_us)) {
+      std::optional<double> from_us;
+      std::optional<double> until_us;
+      if (dash != std::string::npos) {
+        from_us = parse_double(window.substr(0, dash));
+        until_us = parse_double(window.substr(dash + 1));
+      }
+      if (!from_us || !until_us) {
         return fmt_error("bad grey window (FROM_US-UNTIL_US)", one);
       }
-      from = Time::from_ns(from_us * 1e3);
-      until = Time::from_ns(until_us * 1e3);
+      from = Time::from_ns(*from_us * 1e3);
+      until = Time::from_ns(*until_us * 1e3);
     }
-    double loss = 0.0;
-    if (!parse_num(rest, loss)) return fmt_error("bad loss probability", one);
-    grey_link(static_cast<NodeId>(src), static_cast<NodeId>(dst), loss, from,
-              until);
+    const std::optional<double> loss = parse_double(rest);
+    if (!loss) return fmt_error("bad loss probability", one);
+    grey_link(static_cast<NodeId>(*src), static_cast<NodeId>(*dst), *loss,
+              from, until);
   }
   return std::nullopt;
 }

@@ -53,6 +53,8 @@ void Node::pending_cell_dsts(Time now, Time cell_interval, std::size_t limit,
   auto& buckets = scratch->buckets;
   entries.clear();
   buckets.clear();
+  scratch->flows_visited +=
+      static_cast<std::int64_t>(local_.size() - first_unfinished_);
   for (std::size_t i = first_unfinished_; i < local_.size(); ++i) {
     const LocalFlow& f = local_[i];
     if (f.exhausted()) continue;

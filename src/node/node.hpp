@@ -67,6 +67,8 @@ struct PendingScratch {
   };
   std::vector<Entry> entries;
   std::vector<Bucket> buckets;
+  /// LOCAL flows scanned, summed over calls (sim::WorkCounters).
+  std::int64_t flows_visited = 0;
 };
 
 class Node {

@@ -620,6 +620,7 @@ void SiriusSim::transmit_slot(std::int64_t slot, Time now) {
       const NodeId p = peers[u];
       if (p == kInvalidNode) continue;
       if (skip_idle && !n.occupied(p)) continue;
+      ++pairs_visited_;
       if (cfg_.routing == RoutingMode::kDirect) {
         // Direct-only: pull the next pending cell addressed to p, if any.
         if (auto cell = n.take_cell_for(p, now, nic_cell_time_)) {
@@ -1123,6 +1124,8 @@ SiriusSimResult SiriusSim::run() {
     }
   }
   r.failover = fo_;
+  r.work.pairs_visited = pairs_visited_;
+  r.work.flows_visited = pending_scratch_.flows_visited;
   return r;
 }
 

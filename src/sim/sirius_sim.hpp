@@ -161,6 +161,19 @@ struct FailoverStats {
   stats::RecoverySummary recovery;
 };
 
+/// Work the slot kernel did, counted exactly. The kernel is deterministic,
+/// so these are as reproducible as the results; the golden tests pin them
+/// to catch wasted work that leaves every result unchanged. They are
+/// neither registry metrics nor part of checkpoint_state(), so the counts
+/// cover only the slots this SiriusSim object ran: a restored sim starts
+/// from zero.
+struct WorkCounters {
+  /// (node, uplink) pairs transmit_slot examined past the idle-pair skip.
+  std::int64_t pairs_visited = 0;
+  /// LOCAL flows Node::pending_cell_dsts scanned.
+  std::int64_t flows_visited = 0;
+};
+
 struct SiriusSimResult {
   stats::FctSummary fct;
   double goodput_normalized = 0.0;       ///< Fig. 9b metric
@@ -187,6 +200,7 @@ struct SiriusSimResult {
   FailoverStats failover;
   /// Goodput-vs-time curve (record_recovery_curve mode).
   std::vector<stats::RecoveryBin> recovery_curve;
+  WorkCounters work;
 };
 
 /// Runs one Sirius experiment over `workload`. Flow endpoints in the
@@ -317,7 +331,8 @@ class SiriusSim {
   // sched_'s peer map; rebuilt at construction, swap and restore, never
   // serialized.
   sched::PeerTable peer_table_;
-  // Epoch-cc scratch, reused by every node every epoch.
+  // Epoch-cc scratch, reused by every node every epoch; it also sums
+  // WorkCounters::flows_visited.
   node::PendingScratch pending_scratch_;
   std::vector<NodeId> pending_;
   std::vector<cc::Grant> grants_;
@@ -339,6 +354,8 @@ class SiriusSim {
   // Slot-loop cursor, a member (not a run() local) so a restored sim
   // resumes mid-run: run() continues from wherever the snapshot left it.
   std::int64_t slot_ = 0;
+  // WorkCounters::pairs_visited; never serialized.
+  std::int64_t pairs_visited_ = 0;
   // Next simulated time the checkpoint sink fires at; derived (never
   // serialized): the smallest multiple of cfg_.checkpoint_every strictly
   // after the current slot's start reproduces the straight run's cadence.

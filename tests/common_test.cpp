@@ -377,5 +377,17 @@ TEST(EnvConfig, ParsesAndDefaults) {
   EXPECT_EQ(env_int_or("SIRIUS_TEST_MISSING", 9), 9);
 }
 
+TEST(EnvConfig, NumbersMustParseInFull) {
+  EXPECT_EQ(parse_int("-12"), -12);
+  EXPECT_DOUBLE_EQ(parse_double("2e2").value_or(0.0), 200.0);
+  for (const char* bad :
+       {"", "x8", "2e2", "8 ", "1.5", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_int(bad).has_value()) << bad;
+  }
+  for (const char* bad : {"", "abc", "0.5x", "1e999"}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace sirius

@@ -8,9 +8,9 @@
 #   * the manifest is schema "sirius.run.v1" with results + artifacts,
 #   * the trace is Chrome trace-event JSON with a non-empty event array,
 #   * the metrics JSONL rows parse and carry the core counters.
-# Finally asserts the CLI rejects bad telemetry options with exit code 2
-# before any simulation work: an unknown option, a non-positive metrics
-# cadence, and a flame path whose directory does not exist.
+# Finally asserts the CLI rejects bad options with exit code 2 before any
+# simulation work: an unknown option, malformed numbers, a non-positive
+# metrics cadence, and a flame path whose directory does not exist.
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(METRICS ${OUT_DIR}/metrics.jsonl)
 set(TRACE ${OUT_DIR}/trace.json)
@@ -91,6 +91,23 @@ endif()
 if(NOT err MATCHES "unknown option --definitely-not-a-flag")
   message(FATAL_ERROR "unknown-option error message missing:\n${err}")
 endif()
+
+# ---- a number must parse in full --------------------------------------------
+foreach(bad "--fail;abc" "--flows;2e2" "--racks;x8")
+  execute_process(
+    COMMAND ${CLI} run ${bad}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  list(GET bad 0 flag)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "run ${bad} exited ${rc}, expected 2:\n${out}${err}")
+  endif()
+  if(NOT err MATCHES "error: ${flag}: malformed number" OR
+     NOT out STREQUAL "")
+    message(FATAL_ERROR "run ${bad} was not rejected upfront:\n${out}${err}")
+  endif()
+endforeach()
 
 # ---- a non-positive metrics cadence is a user error, not an invariant --------
 execute_process(

@@ -59,20 +59,23 @@
 // prints the derived deployment parameters (schedule geometry, epoch,
 // laser/link budget).
 //
-// Unknown options are hard errors (exit 2): a typo like `--flowss` must
-// fail loudly, not silently run the default configuration. Unreadable or
-// unparsable `--restore` files and output paths whose directory does not
-// exist are also exit 2, detected before the simulation starts.
+// Unknown options and malformed numbers are hard errors (exit 2): a typo
+// like `--flowss` or `--racks x8` must fail loudly, not silently run some
+// other configuration. Unreadable or unparsable `--restore` files and
+// output paths whose directory does not exist are also exit 2, detected
+// before the simulation starts.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "common/config.hpp"
 #include "common/invariant.hpp"
 #include "core/experiment.hpp"
 #include "optical/link_budget.hpp"
@@ -134,9 +137,44 @@ const std::vector<const char*>& allowed_options(const std::string& command) {
   return kNone;
 }
 
+// Calls `fn` on each comma-separated piece of `list`, empty pieces included.
+template <typename Fn>
+void for_each_piece(const std::string& list, Fn fn) {
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = list.find(',', pos);
+    fn(list.substr(pos, comma - pos));
+    if (comma == std::string::npos) return;
+    pos = comma + 1;
+  }
+}
+
+// False when a numeric option's value is not a number in full (`--fail`
+// takes a comma-separated list of integers). parse() rejects such values,
+// so opt_int, opt_double and the --fail loop only ever see well-formed ones.
+bool well_formed(const std::string& key, const std::string& value) {
+  static const std::set<std::string> kInts = {
+      "racks",        "servers-per-rack", "uplinks",
+      "flows",        "seed",             "q",
+      "trace-sample", "trace-max-events", "flight-recorder",
+      "forks",        "salt"};
+  static const std::set<std::string> kDoubles = {
+      "load", "guardband-ns", "multiplier", "metrics-every-us",
+      "checkpoint-every-us"};
+  if (kInts.count(key) > 0) return parse_int(value).has_value();
+  if (kDoubles.count(key) > 0) return parse_double(value).has_value();
+  bool ok = true;
+  if (key == "fail" && !value.empty()) {
+    for_each_piece(value, [&ok](const std::string& rack) {
+      ok = ok && parse_int(rack).has_value();
+    });
+  }
+  return ok;
+}
+
 // Parses `<command> [--key [value]]...`, validating every option against
-// the command's allowlist. Returns nullopt (after printing the error) on
-// an unknown option or a stray positional argument.
+// the command's allowlist and every numeric value in full. Returns nullopt
+// (after printing the error) on an unknown option, a malformed number or a
+// stray positional argument.
 std::optional<Args> parse(int argc, char** argv) {
   Args a;
   if (argc >= 2) a.command = argv[1];
@@ -161,6 +199,11 @@ std::optional<Args> parse(int argc, char** argv) {
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       value = argv[++i];
     }
+    if (!well_formed(key, value)) {
+      std::fprintf(stderr, "error: --%s: malformed number '%s'\n",
+                   key.c_str(), value.c_str());
+      return std::nullopt;
+    }
     a.options[key] = value;
   }
   return a;
@@ -168,12 +211,12 @@ std::optional<Args> parse(int argc, char** argv) {
 
 std::int64_t opt_int(const Args& a, const std::string& k, std::int64_t d) {
   auto it = a.options.find(k);
-  return it == a.options.end() ? d : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == a.options.end() ? d : *parse_int(it->second);
 }
 
 double opt_double(const Args& a, const std::string& k, double d) {
   auto it = a.options.find(k);
-  return it == a.options.end() ? d : std::strtod(it->second.c_str(), nullptr);
+  return it == a.options.end() ? d : *parse_double(it->second);
 }
 
 std::string opt_str(const Args& a, const std::string& k,
@@ -288,14 +331,11 @@ std::optional<SimSetup> build_setup(const Args& a, int* rc) {
     }
   }
   // --fail racks are down for the whole run.
-  for (std::size_t pos = 0; pos < fail.size();) {
-    const std::size_t comma = fail.find(',', pos);
-    out.s.faults.fail_rack(
-        static_cast<NodeId>(std::strtol(
-            fail.substr(pos, comma - pos).c_str(), nullptr, 10)),
-        Time::zero());
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  if (!fail.empty()) {
+    for_each_piece(fail, [&out](const std::string& rack) {
+      out.s.faults.fail_rack(static_cast<NodeId>(*parse_int(rack)),
+                             Time::zero());
+    });
   }
   // Validate the whole timeline against the rack count before touching the
   // simulator: out-of-range ids and duplicate failures are user errors, not
