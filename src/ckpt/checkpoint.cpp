@@ -1,9 +1,8 @@
 #include "ckpt/checkpoint.hpp"
 
-#include <array>
-
 #include "ckpt/io.hpp"
 #include "common/atomic_file.hpp"
+#include "common/crc32.hpp"
 
 namespace sirius::ckpt {
 
@@ -12,43 +11,9 @@ namespace {
 constexpr std::string_view kMagic = "SIRCKPT\n";
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 
-// frame/CellCodec has its own CRC-32 but sits at the same layer rank, so
-// the checkpoint framing keeps an independent table (same polynomial).
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(std::string_view data) {
-  static const auto table = make_crc_table();
-  std::uint32_t c = 0xffffffffu;
-  for (const char ch : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(ch)) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
-
-std::string frame(std::string_view payload) {
-  Writer w;
-  for (const char ch : kMagic) w.u8(static_cast<std::uint8_t>(ch));
-  w.u32(kVersion);
-  w.u64(payload.size());
-  w.u32(crc32(payload));
-  std::string out = w.data();
-  out.append(payload.data(), payload.size());
-  return out;
-}
-
-LoadResult parse(std::string_view file_bytes) {
+// Every check parse() makes; on success the payload is
+// file_bytes.substr(kHeaderSize) and is left for the caller to take.
+LoadResult validate(std::string_view file_bytes) {
   LoadResult r;
   if (file_bytes.empty()) {
     r.status = LoadStatus::kEmptyFile;
@@ -96,7 +61,27 @@ LoadResult parse(std::string_view file_bytes) {
     return r;
   }
   r.status = LoadStatus::kOk;
-  r.payload.assign(payload.data(), payload.size());
+  return r;
+}
+
+}  // namespace
+
+std::string frame(std::string_view payload) {
+  Writer header;
+  for (const char ch : kMagic) header.u8(static_cast<std::uint8_t>(ch));
+  header.u32(kVersion);
+  header.u64(payload.size());
+  header.u32(crc32(payload));
+  std::string out;
+  out.reserve(kHeaderSize + payload.size());
+  out.append(header.data());
+  out.append(payload.data(), payload.size());
+  return out;
+}
+
+LoadResult parse(std::string_view file_bytes) {
+  LoadResult r = validate(file_bytes);
+  if (r.ok()) r.payload.assign(file_bytes.substr(kHeaderSize));
   return r;
 }
 
@@ -114,7 +99,13 @@ LoadResult load(const std::filesystem::path& path) {
     r.message = error;
     return r;
   }
-  return parse(bytes);
+  // Unwrap in place: the payload keeps the file buffer instead of a copy.
+  LoadResult r = validate(bytes);
+  if (r.ok()) {
+    bytes.erase(0, kHeaderSize);
+    r.payload = std::move(bytes);
+  }
+  return r;
 }
 
 }  // namespace sirius::ckpt

@@ -44,9 +44,6 @@ struct LoadResult {
   [[nodiscard]] bool ok() const { return status == LoadStatus::kOk; }
 };
 
-/// CRC-32 (IEEE, reflected, init/final 0xffffffff) over `data`.
-[[nodiscard]] std::uint32_t crc32(std::string_view data);
-
 /// Frames `payload` with magic/version/length/CRC; the returned bytes are
 /// the exact file contents.
 [[nodiscard]] std::string frame(std::string_view payload);

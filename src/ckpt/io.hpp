@@ -30,30 +30,52 @@
 // ranges, and report failure via `Reader::fail`.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace sirius::ckpt {
 
+namespace detail {
+
+// Little-endian stores and loads through a byte pointer, independent of
+// host byte order; compilers fold each into one word access on
+// little-endian targets.
+template <typename T>
+void store_le(char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+template <typename T>
+T load_le(const char* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace detail
+
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  /// `reserve` bytes are allocated up front, so a writer that knows about
+  /// how much it will write grows its buffer once.
+  explicit Writer(std::size_t reserve = 0) { buf_.reserve(reserve); }
+
+  void u8(std::uint8_t v) { *room(1) = static_cast<char>(v); }
   void u32(std::uint32_t v) { append_le(v); }
   void u64(std::uint64_t v) { append_le(v); }
   void i32(std::int32_t v) { append_le(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    append_le(bits);
-  }
+  void f64(double v) { append_le(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s) {
     u64(s.size());
-    buf_.append(s.data(), s.size());
+    append_bytes(s.data(), s.size());
   }
   /// Section marker: a 4-byte sentinel the reader asserts, so a layout
   /// mismatch reports the section name instead of silently misparsing.
@@ -61,7 +83,7 @@ class Writer {
 
   void vec_u8(const std::vector<std::uint8_t>& v) {
     u64(v.size());
-    for (const auto x : v) u8(x);
+    append_bytes(reinterpret_cast<const char*>(v.data()), v.size());
   }
   void vec_i32(const std::vector<std::int32_t>& v) {
     u64(v.size());
@@ -80,18 +102,45 @@ class Writer {
     for (const auto x : v) f64(x);
   }
 
-  [[nodiscard]] const std::string& data() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// The bytes written so far (flushes the staging chunk).
+  [[nodiscard]] const std::string& data() {
+    flush();
+    return buf_;
+  }
+  [[nodiscard]] std::size_t size() const { return buf_.size() + used_; }
+  /// Hands over the encoded bytes without copying them.
+  [[nodiscard]] std::string take() && {
+    flush();
+    return std::move(buf_);
+  }
 
  private:
+  // Fixed-width fields are stored into a staging chunk with plain inline
+  // stores and reach `buf_` one chunk-sized append at a time.
+  static constexpr std::size_t kChunk = 4096;
+
+  char* room(std::size_t n) {
+    if (kChunk - used_ < n) flush();
+    char* p = chunk_ + used_;
+    used_ += n;
+    return p;
+  }
   template <typename T>
   void append_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    detail::store_le(room(sizeof(T)), v);
+  }
+  void append_bytes(const char* p, std::size_t n) {
+    flush();
+    buf_.append(p, n);
+  }
+  void flush() {
+    buf_.append(chunk_, used_);
+    used_ = 0;
   }
 
   std::string buf_;
+  char chunk_[kChunk];
+  std::size_t used_ = 0;
 };
 
 class Reader {
@@ -112,10 +161,7 @@ class Reader {
   }
   [[nodiscard]] bool b() { return u8() != 0; }
   [[nodiscard]] double f64() {
-    const std::uint64_t bits = read_le<std::uint64_t>("f64");
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+    return std::bit_cast<double>(read_le<std::uint64_t>("f64"));
   }
   [[nodiscard]] std::string str() {
     const std::uint64_t n = u64();
@@ -155,33 +201,27 @@ class Reader {
 
   [[nodiscard]] std::vector<std::uint8_t> vec_u8(const char* what) {
     const std::size_t n = count(1, what);
-    std::vector<std::uint8_t> v(n);
-    for (auto& x : v) x = u8();
-    return v;
+    const auto* p = reinterpret_cast<const std::uint8_t*>(data_.data() + pos_);
+    pos_ += n;
+    return std::vector<std::uint8_t>(p, p + n);
   }
   [[nodiscard]] std::vector<std::int32_t> vec_i32(const char* what) {
-    const std::size_t n = count(4, what);
-    std::vector<std::int32_t> v(n);
-    for (auto& x : v) x = i32();
-    return v;
+    return read_vec<std::int32_t, std::uint32_t>(what, [](std::uint32_t x) {
+      return static_cast<std::int32_t>(x);
+    });
   }
   [[nodiscard]] std::vector<std::uint64_t> vec_u64(const char* what) {
-    const std::size_t n = count(8, what);
-    std::vector<std::uint64_t> v(n);
-    for (auto& x : v) x = u64();
-    return v;
+    return read_vec<std::uint64_t, std::uint64_t>(
+        what, [](std::uint64_t x) { return x; });
   }
   [[nodiscard]] std::vector<std::int64_t> vec_i64(const char* what) {
-    const std::size_t n = count(8, what);
-    std::vector<std::int64_t> v(n);
-    for (auto& x : v) x = i64();
-    return v;
+    return read_vec<std::int64_t, std::uint64_t>(what, [](std::uint64_t x) {
+      return static_cast<std::int64_t>(x);
+    });
   }
   [[nodiscard]] std::vector<double> vec_f64(const char* what) {
-    const std::size_t n = count(8, what);
-    std::vector<double> v(n);
-    for (auto& x : v) x = f64();
-    return v;
+    return read_vec<double, std::uint64_t>(
+        what, [](std::uint64_t x) { return std::bit_cast<double>(x); });
   }
 
   /// Latches a semantic failure discovered by the caller (e.g. a value out
@@ -216,12 +256,22 @@ class Reader {
   template <typename T>
   T read_le(const char* what) {
     if (!need(sizeof(T), what)) return 0;
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    const T v = detail::load_le<T>(data_.data() + pos_);
     pos_ += sizeof(T);
+    return v;
+  }
+  // count() has already checked that all `n` elements of `sizeof(Bits)`
+  // bytes are present, so the loop reads without further bounds checks.
+  template <typename V, typename Bits, typename FromBits>
+  std::vector<V> read_vec(const char* what, FromBits from_bits) {
+    const std::size_t n = count(sizeof(Bits), what);
+    std::vector<V> v(n);
+    const char* p = data_.data() + pos_;
+    for (auto& x : v) {
+      x = from_bits(detail::load_le<Bits>(p));
+      p += sizeof(Bits);
+    }
+    pos_ += n * sizeof(Bits);
     return v;
   }
 

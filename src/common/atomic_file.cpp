@@ -1,68 +1,82 @@
 #include "common/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <system_error>
 
 namespace sirius {
 
 namespace {
 
+// Fills `*error` with "what: path (strerror(err))"; `err` is the errno of
+// the failed call, captured before any cleanup can overwrite it.
 void set_error(std::string* error, const std::filesystem::path& path,
-               const char* what) {
+               const char* what, int err) {
   if (error == nullptr) return;
   *error = std::string(what) + ": " + path.string();
-  if (errno != 0) {
+  if (err != 0) {
     *error += " (";
-    *error += std::strerror(errno);
+    *error += std::strerror(err);
     *error += ")";
   }
 }
 
-// fsync a path (file or directory) by fd; returns false on failure.
-bool fsync_path(const std::filesystem::path& path, int open_flags) {
-  const int fd = ::open(path.c_str(), open_flags);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
+// Writes all of `bytes` to `fd`, retrying interrupted and short writes.
+// Returns 0, or the errno of the failed write.
+int write_all(int fd, std::string_view bytes) {
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    if (n == 0) return EIO;  // no progress on a regular file
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  return 0;
 }
 
 }  // namespace
 
 bool write_file_atomic(const std::filesystem::path& path,
                        std::string_view contents, std::string* error) {
-  errno = 0;
   if (path.empty()) {
-    set_error(error, path, "atomic write: empty path");
+    set_error(error, path, "atomic write: empty path", 0);
     return false;
   }
   // Temp file must live on the same filesystem as the destination for the
   // rename to be atomic, so it is a sibling, not /tmp.
   std::filesystem::path tmp = path;
   tmp += ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      set_error(error, tmp, "atomic write: cannot open temp file");
-      return false;
-    }
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) {
-      set_error(error, tmp, "atomic write: short write");
-      std::error_code ignored;
-      std::filesystem::remove(tmp, ignored);
-      return false;
-    }
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) {
+    set_error(error, tmp, "atomic write: cannot open temp file", errno);
+    return false;
   }
-  if (!fsync_path(tmp, O_WRONLY)) {
-    set_error(error, tmp, "atomic write: fsync failed");
+  // One descriptor writes, fsyncs and closes the temp file; close() is
+  // checked too, since some filesystems report write-back errors there.
+  const char* failed = nullptr;
+  int err = write_all(fd, contents);
+  if (err != 0) {
+    failed = "atomic write: write failed";
+  } else if (::fsync(fd) != 0) {
+    err = errno;
+    failed = "atomic write: fsync failed";
+  }
+  if (::close(fd) != 0 && failed == nullptr) {
+    err = errno;
+    failed = "atomic write: close failed";
+  }
+  if (failed != nullptr) {
+    set_error(error, tmp, failed, err);
     std::error_code ignored;
     std::filesystem::remove(tmp, ignored);
     return false;
@@ -82,22 +96,52 @@ bool write_file_atomic(const std::filesystem::path& path,
   // filesystems) is not fatal: the data file is already durable.
   const auto dir = path.has_parent_path() ? path.parent_path()
                                           : std::filesystem::path(".");
-  (void)fsync_path(dir, O_RDONLY);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
+  if (dir_fd >= 0) {
+    (void)::fsync(dir_fd);
+    ::close(dir_fd);
+  }
   return true;
 }
 
 bool read_file(const std::filesystem::path& path, std::string* out,
                std::string* error) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    set_error(error, path, "cannot open file");
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    set_error(error, path, "cannot open file", errno);
     return false;
   }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    set_error(error, path, "read failed");
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    set_error(error, path, "cannot stat file", errno);
+    ::close(fd);
+    return false;
+  }
+  if (!S_ISREG(st.st_mode)) {
+    set_error(error, path, "not a regular file", 0);
+    ::close(fd);
+    return false;
+  }
+  // Sized once from fstat, filled in one read loop.
+  std::string data(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      set_error(error, path, "read failed", errno);
+      ::close(fd);
+      return false;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  if (got != data.size()) {
+    if (error != nullptr) {
+      *error = "short read: " + path.string() + " (" + std::to_string(got) +
+               " of " + std::to_string(data.size()) + " bytes)";
+    }
     return false;
   }
   *out = std::move(data);

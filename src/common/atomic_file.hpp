@@ -23,8 +23,9 @@ namespace sirius {
                                      std::string_view contents,
                                      std::string* error = nullptr);
 
-/// Reads the whole file at `path` into `*out`. Returns false and fills
-/// `*error` (when non-null) on a missing/unreadable path. Binary-safe.
+/// Reads the whole regular file at `path` into `*out`. Returns false and
+/// fills `*error` (when non-null) on a missing, unreadable or non-regular
+/// path, or when fewer bytes arrive than the file's size. Binary-safe.
 [[nodiscard]] bool read_file(const std::filesystem::path& path,
                              std::string* out, std::string* error = nullptr);
 

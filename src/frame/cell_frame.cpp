@@ -1,8 +1,8 @@
 #include "frame/cell_frame.hpp"
 
-#include <array>
 #include <cassert>
-#include <cstring>
+
+#include "common/crc32.hpp"
 
 namespace sirius::frame {
 namespace {
@@ -26,28 +26,7 @@ T get(std::span<const std::uint8_t> in, std::size_t& pos) {
   return static_cast<T>(v);
 }
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t n = 0; n < 256; ++n) {
-    std::uint32_t c = n;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    }
-    table[n] = c;
-  }
-  return table;
-}
-
 }  // namespace
-
-std::uint32_t CellCodec::crc32(std::span<const std::uint8_t> data) {
-  static const auto table = make_crc_table();
-  std::uint32_t c = 0xffffffffu;
-  for (const std::uint8_t b : data) {
-    c = table[(c ^ b) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
 
 CellCodec::CellCodec(DataSize cell_size, std::int32_t preamble_bytes)
     : cell_(cell_size), preamble_(preamble_bytes) {

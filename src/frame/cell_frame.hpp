@@ -88,9 +88,6 @@ class CellCodec {
   /// Decodes a cell; returns nullopt on size mismatch or CRC failure.
   std::optional<CellFrame> decode(std::span<const std::uint8_t> wire) const;
 
-  /// CRC-32 (IEEE 802.3 polynomial, reflected) of `data`.
-  static std::uint32_t crc32(std::span<const std::uint8_t> data);
-
  private:
   DataSize cell_;
   std::int32_t preamble_;

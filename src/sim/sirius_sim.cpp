@@ -1606,14 +1606,19 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
 }
 
 std::string SiriusSim::checkpoint_state() const {
-  ckpt::Writer w;
+  // State only grows slowly between snapshots; the slack absorbs that.
+  ckpt::Writer w(ckpt_size_hint_ + ckpt_size_hint_ / 8);
   serialize_state(w);
-  return w.data();
+  ckpt_size_hint_ = w.size();
+  return std::move(w).take();
 }
 
 bool SiriusSim::restore_state(std::string_view payload, std::string* error) {
   ckpt::Reader r(payload);
-  if (restore_state_impl(r)) return true;
+  if (restore_state_impl(r)) {
+    ckpt_size_hint_ = payload.size();
+    return true;
+  }
   if (error != nullptr) {
     *error = r.ok() ? std::string("checkpoint restore failed") : r.error();
   }

@@ -356,6 +356,10 @@ class SiriusSim {
   std::int64_t slot_ = 0;
   // WorkCounters::pairs_visited; never serialized.
   std::int64_t pairs_visited_ = 0;
+  // Size of the last payload checkpoint_state() wrote or restore_state()
+  // read, so the next snapshot reserves its buffer once instead of growing
+  // it by doubling; never serialized.
+  mutable std::size_t ckpt_size_hint_ = 0;
   // Next simulated time the checkpoint sink fires at; derived (never
   // serialized): the smallest multiple of cfg_.checkpoint_every strictly
   // after the current slot's start reproduces the straight run's cadence.

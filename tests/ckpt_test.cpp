@@ -23,6 +23,75 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// ---- field codec -----------------------------------------------------------
+
+// One field of each Writer kind against its literal little-endian bytes,
+// so a word-wide codec cannot silently change a width or the byte order.
+TEST(CkptIo, FieldLayoutIsLittleEndian) {
+  ckpt::Writer w;
+  w.u8(0xab);
+  w.b(true);
+  w.u32(0x01020304u);
+  w.u64(0x0102030405060708ull);
+  w.i32(-2);
+  w.i64(-3);
+  w.f64(1.5);
+  w.str("hi");
+  w.tag(0x47415421u);
+  w.vec_u8({1, 2});
+  w.vec_i32({-1, 5});
+  w.vec_u64({0x1122334455667788ull});
+  w.vec_i64({-2});
+  w.vec_f64({-2.25});
+  const std::vector<std::uint8_t> bytes = {
+      0xab,                                            // u8
+      0x01,                                            // b
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xfe, 0xff, 0xff, 0xff,                          // i32 -2
+      0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64 -3
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // f64 1.5
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // str length
+      'h',  'i',                                       // str body
+      0x21, 0x54, 0x41, 0x47,                          // tag
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // vec_u8 count
+      0x01, 0x02,                                      //
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // vec_i32 count
+      0xff, 0xff, 0xff, 0xff, 0x05, 0x00, 0x00, 0x00,  //
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // vec_u64 count
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  //
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // vec_i64 count
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  //
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // vec_f64 count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xc0,  // -2.25
+  };
+  const std::string expected(bytes.begin(), bytes.end());
+  ASSERT_EQ(w.data(), expected);
+
+  // Reads every field back; false as soon as the reader has failed.
+  const auto read_all = [](ckpt::Reader& r) {
+    const bool values_match =
+        r.u8() == 0xab && r.b() && r.u32() == 0x01020304u &&
+        r.u64() == 0x0102030405060708ull && r.i32() == -2 &&
+        r.i64() == -3 && r.f64() == 1.5 && r.str() == "hi" &&
+        r.expect_tag(0x47415421u, "layout") &&
+        r.vec_u8("u8s") == std::vector<std::uint8_t>{1, 2} &&
+        r.vec_i32("i32s") == std::vector<std::int32_t>{-1, 5} &&
+        r.vec_u64("u64s") ==
+            std::vector<std::uint64_t>{0x1122334455667788ull} &&
+        r.vec_i64("i64s") == std::vector<std::int64_t>{-2} &&
+        r.vec_f64("f64s") == std::vector<double>{-2.25};
+    return values_match && r.expect_end();
+  };
+  ckpt::Reader full(expected);
+  EXPECT_TRUE(read_all(full)) << full.error();
+  for (std::size_t n = 0; n < expected.size(); ++n) {
+    ckpt::Reader r(std::string_view(expected).substr(0, n));
+    (void)read_all(r);
+    EXPECT_FALSE(r.ok()) << "prefix of " << n << " bytes";
+  }
+}
+
 // ---- file framing ----------------------------------------------------------
 
 TEST(CkptFrame, RoundTripPreservesPayload) {

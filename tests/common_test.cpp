@@ -1,11 +1,19 @@
-// Unit tests for common/: time, units, rng, distributions, histograms.
+// Unit tests for common/: time, units, rng, distributions, histograms,
+// CRC-32 and the crash-safe file helpers.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <set>
+#include <unistd.h>
 
-#include "common/invariant.hpp"
+#include <cmath>
+#include <filesystem>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/atomic_file.hpp"
 #include "common/config.hpp"
+#include "common/crc32.hpp"
+#include "common/invariant.hpp"
 #include "common/distributions.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
@@ -387,6 +395,129 @@ TEST(EnvConfig, NumbersMustParseInFull) {
   for (const char* bad : {"", "abc", "0.5x", "1e999"}) {
     EXPECT_FALSE(parse_double(bad).has_value()) << bad;
   }
+}
+
+// ---- CRC-32 ---------------------------------------------------------------
+
+// Reference CRC-32: one shift per bit, no tables.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& x : v) x = static_cast<std::uint8_t>(rng() >> 56);
+  return v;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(crc32(std::string_view()), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..64 from offsets 0..7 cover every split between the
+  // eight-byte body and the bytewise tail, at every alignment.
+  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 17);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(crc32(buf.data() + off, len),
+                crc32_bitwise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const std::vector<std::uint8_t> big = random_bytes(std::size_t{1} << 20, 23);
+  EXPECT_EQ(crc32(big), crc32_bitwise(big.data(), big.size()));
+}
+
+// ---- crash-safe file helpers ----------------------------------------------
+
+namespace fs = std::filesystem;
+
+// A fresh, empty directory per test, removed on destruction.
+struct TempDir {
+  explicit TempDir(const char* name)
+      : path(fs::temp_directory_path() /
+             (std::string("sirius_common_") + name + "_" +
+              std::to_string(::getpid()))) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    fs::remove_all(path, ignored);
+  }
+  fs::path path;
+};
+
+TEST(AtomicFile, WriteThenReadRoundTrips) {
+  const TempDir dir("round_trip");
+  const fs::path file = dir.path / "data.bin";
+  const std::vector<std::uint8_t> bytes = random_bytes(100'003, 5);
+  const std::string contents(bytes.begin(), bytes.end());
+  std::string error;
+  ASSERT_TRUE(write_file_atomic(file, contents, &error)) << error;
+  std::string back;
+  ASSERT_TRUE(read_file(file, &back, &error)) << error;
+  EXPECT_EQ(back, contents);
+  // An empty file reads back empty, not as a failure.
+  ASSERT_TRUE(write_file_atomic(file, "", &error)) << error;
+  back = "stale";
+  ASSERT_TRUE(read_file(file, &back, &error)) << error;
+  EXPECT_TRUE(back.empty());
+}
+
+TEST(AtomicFile, OverwriteLeavesNoTempSibling) {
+  const TempDir dir("overwrite");
+  const fs::path file = dir.path / "state.ckpt";
+  std::string error;
+  ASSERT_TRUE(write_file_atomic(file, "first version, longer", &error));
+  ASSERT_TRUE(write_file_atomic(file, "second", &error)) << error;
+  std::string back;
+  ASSERT_TRUE(read_file(file, &back, &error)) << error;
+  EXPECT_EQ(back, "second");
+  std::vector<fs::path> entries;
+  for (const auto& e : fs::directory_iterator(dir.path)) {
+    entries.push_back(e.path().filename());
+  }
+  EXPECT_EQ(entries, std::vector<fs::path>{"state.ckpt"});
+}
+
+TEST(AtomicFile, FailuresNameThePath) {
+  const TempDir dir("failures");
+  std::string error;
+  std::string out = "untouched";
+  const fs::path missing = dir.path / "missing.bin";
+  EXPECT_FALSE(read_file(missing, &out, &error));
+  EXPECT_NE(error.find(missing.string()), std::string::npos) << error;
+  EXPECT_EQ(out, "untouched");
+
+  // A directory is not a file to read.
+  error.clear();
+  EXPECT_FALSE(read_file(dir.path, &out, &error));
+  EXPECT_NE(error.find(dir.path.string()), std::string::npos) << error;
+
+  // Unwritable destinations, whatever the caller's privileges: a parent
+  // that does not exist, and a parent that is a regular file.
+  const fs::path no_dir = dir.path / "no_such_dir" / "out.bin";
+  error.clear();
+  EXPECT_FALSE(write_file_atomic(no_dir, "x", &error));
+  EXPECT_NE(error.find(no_dir.string()), std::string::npos) << error;
+  const fs::path plain = dir.path / "plain";
+  ASSERT_TRUE(write_file_atomic(plain, "x", &error)) << error;
+  const fs::path under_file = plain / "out.bin";
+  error.clear();
+  EXPECT_FALSE(write_file_atomic(under_file, "x", &error));
+  EXPECT_NE(error.find(under_file.string()), std::string::npos) << error;
+  EXPECT_FALSE(fs::exists(dir.path / "no_such_dir"));
 }
 
 }  // namespace

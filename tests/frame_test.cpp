@@ -1,6 +1,9 @@
 // Unit tests for the cell wire format (frame/).
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "common/crc32.hpp"
 #include "frame/cell_frame.hpp"
 
 namespace sirius::frame {
@@ -89,9 +92,22 @@ TEST(CellCodec, WrongSizeRejected) {
 }
 
 TEST(CellCodec, Crc32KnownVector) {
-  // CRC-32("123456789") = 0xCBF43926 (classic check value).
-  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(CellCodec::crc32(data), 0xCBF43926u);
+  // The cell trailer is the shared CRC-32 (check value CRC-32("123456789")
+  // = 0xCBF43926) of everything between the preamble and the trailer,
+  // stored little-endian.
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+  CellCodec codec;
+  const auto wire = codec.encode(sample_frame());
+  const std::size_t body = static_cast<std::size_t>(codec.preamble_bytes());
+  const std::size_t trailer = wire.size() - CellCodec::kCrcBytes;
+  const std::uint32_t expected = crc32(
+      std::span<const std::uint8_t>(wire.data() + body, trailer - body));
+  const std::uint32_t stored =
+      static_cast<std::uint32_t>(wire[trailer]) |
+      static_cast<std::uint32_t>(wire[trailer + 1]) << 8 |
+      static_cast<std::uint32_t>(wire[trailer + 2]) << 16 |
+      static_cast<std::uint32_t>(wire[trailer + 3]) << 24;
+  EXPECT_EQ(stored, expected);
 }
 
 TEST(CellCodec, AllCcSignalKindsSurvive) {
