@@ -1,5 +1,7 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <algorithm>
+
 #include "ckpt/io.hpp"
 #include "common/atomic_file.hpp"
 #include "common/crc32.hpp"
@@ -11,29 +13,30 @@ namespace {
 constexpr std::string_view kMagic = "SIRCKPT\n";
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 
-// Every check parse() makes; on success the payload is
-// file_bytes.substr(kHeaderSize) and is left for the caller to take.
-LoadResult validate(std::string_view file_bytes) {
+// Every check parse() makes, over a file split into its first kHeaderSize
+// bytes (fewer if the file is shorter) and the rest; the payload is left
+// for the caller to take.
+LoadResult validate(std::string_view header, std::string_view payload) {
   LoadResult r;
-  if (file_bytes.empty()) {
+  if (header.empty()) {
     r.status = LoadStatus::kEmptyFile;
     r.message = "checkpoint is empty (0 bytes); expected a " +
                 std::string(kSchema) + " file";
     return r;
   }
-  if (file_bytes.size() < kHeaderSize) {
+  if (header.size() < kHeaderSize) {
     r.status = LoadStatus::kTruncatedHeader;
     r.message = "checkpoint header truncated: " +
-                std::to_string(file_bytes.size()) + " bytes, need " +
+                std::to_string(header.size()) + " bytes, need " +
                 std::to_string(kHeaderSize);
     return r;
   }
-  if (file_bytes.substr(0, kMagic.size()) != kMagic) {
+  if (header.substr(0, kMagic.size()) != kMagic) {
     r.status = LoadStatus::kBadMagic;
     r.message = "bad magic: not a " + std::string(kSchema) + " checkpoint";
     return r;
   }
-  Reader hdr(file_bytes.substr(kMagic.size(), kHeaderSize - kMagic.size()));
+  Reader hdr(header.substr(kMagic.size()));
   const std::uint32_t version = hdr.u32();
   const std::uint64_t payload_len = hdr.u64();
   const std::uint32_t stored_crc = hdr.u32();
@@ -44,7 +47,6 @@ LoadResult validate(std::string_view file_bytes) {
                 ")";
     return r;
   }
-  const std::string_view payload = file_bytes.substr(kHeaderSize);
   if (payload.size() != payload_len) {
     r.status = LoadStatus::kTruncatedPayload;
     r.message = "checkpoint payload truncated: header promises " +
@@ -80,8 +82,10 @@ std::string frame(std::string_view payload) {
 }
 
 LoadResult parse(std::string_view file_bytes) {
-  LoadResult r = validate(file_bytes);
-  if (r.ok()) r.payload.assign(file_bytes.substr(kHeaderSize));
+  const std::size_t split = std::min(file_bytes.size(), kHeaderSize);
+  LoadResult r =
+      validate(file_bytes.substr(0, split), file_bytes.substr(split));
+  if (r.ok()) r.payload.assign(file_bytes.substr(split));
   return r;
 }
 
@@ -91,20 +95,18 @@ bool save(const std::filesystem::path& path, std::string_view payload,
 }
 
 LoadResult load(const std::filesystem::path& path) {
-  std::string bytes;
+  // The payload is read into its own buffer, which the result then takes.
+  std::string header;
+  std::string payload;
   std::string error;
-  if (!read_file(path, &bytes, &error)) {
+  if (!read_file(path, kHeaderSize, &header, &payload, &error)) {
     LoadResult r;
     r.status = LoadStatus::kIoError;
     r.message = error;
     return r;
   }
-  // Unwrap in place: the payload keeps the file buffer instead of a copy.
-  LoadResult r = validate(bytes);
-  if (r.ok()) {
-    bytes.erase(0, kHeaderSize);
-    r.payload = std::move(bytes);
-  }
+  LoadResult r = validate(header, payload);
+  if (r.ok()) r.payload = std::move(payload);
   return r;
 }
 

@@ -32,6 +32,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,20 +42,28 @@ namespace sirius::ckpt {
 
 namespace detail {
 
-// Little-endian stores and loads through a byte pointer, independent of
-// host byte order; compilers fold each into one word access on
-// little-endian targets.
+// Little-endian stores and loads through a byte pointer. On a
+// little-endian host each is one word-wide memcpy; elsewhere a byte loop,
+// which compilers do not reliably fold into one access.
 template <typename T>
 void store_le(char* p, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
   }
 }
 template <typename T>
 T load_le(const char* p) {
   T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+    }
   }
   return v;
 }
@@ -213,6 +223,18 @@ class Reader {
   [[nodiscard]] std::vector<std::uint64_t> vec_u64(const char* what) {
     return read_vec<std::uint64_t, std::uint64_t>(
         what, [](std::uint64_t x) { return x; });
+  }
+  /// Fills `out` with the next out.size() u64 fields (no length prefix:
+  /// the caller read and checked the count).
+  bool u64s(std::span<std::uint64_t> out, const char* what) {
+    if (!need(out.size() * sizeof(std::uint64_t), what)) return false;
+    const char* p = data_.data() + pos_;
+    for (auto& x : out) {
+      x = detail::load_le<std::uint64_t>(p);
+      p += sizeof(std::uint64_t);
+    }
+    pos_ += out.size() * sizeof(std::uint64_t);
+    return true;
   }
   [[nodiscard]] std::vector<std::int64_t> vec_i64(const char* what) {
     return read_vec<std::int64_t, std::uint64_t>(what, [](std::uint64_t x) {

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -104,8 +105,8 @@ bool write_file_atomic(const std::filesystem::path& path,
   return true;
 }
 
-bool read_file(const std::filesystem::path& path, std::string* out,
-               std::string* error) {
+bool read_file(const std::filesystem::path& path, std::size_t head_size,
+               std::string* head, std::string* rest, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     set_error(error, path, "cannot open file", errno);
@@ -122,29 +123,38 @@ bool read_file(const std::filesystem::path& path, std::string* out,
     ::close(fd);
     return false;
   }
-  // Sized once from fstat, filled in one read loop.
-  std::string data(static_cast<std::size_t>(st.st_size), '\0');
+  // Both parts are sized once from fstat and filled by one read loop each.
+  const auto size = static_cast<std::size_t>(st.st_size);
+  std::string first(std::min(head_size, size), '\0');
+  std::string second(size - first.size(), '\0');
   std::size_t got = 0;
-  while (got < data.size()) {
-    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      set_error(error, path, "read failed", errno);
-      ::close(fd);
-      return false;
+  for (std::string* part : {&first, &second}) {
+    std::size_t filled = 0;
+    while (filled < part->size()) {
+      const ssize_t n =
+          ::read(fd, part->data() + filled, part->size() - filled);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        set_error(error, path, "read failed", errno);
+        ::close(fd);
+        return false;
+      }
+      if (n == 0) break;
+      filled += static_cast<std::size_t>(n);
     }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
+    got += filled;
+    if (filled != part->size()) break;
   }
   ::close(fd);
-  if (got != data.size()) {
+  if (got != size) {
     if (error != nullptr) {
       *error = "short read: " + path.string() + " (" + std::to_string(got) +
-               " of " + std::to_string(data.size()) + " bytes)";
+               " of " + std::to_string(size) + " bytes)";
     }
     return false;
   }
-  *out = std::move(data);
+  *head = std::move(first);
+  *rest = std::move(second);
   return true;
 }
 

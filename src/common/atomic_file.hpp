@@ -8,6 +8,7 @@
 // truncated hybrid — even if the process is killed mid-write.
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -23,10 +24,15 @@ namespace sirius {
                                      std::string_view contents,
                                      std::string* error = nullptr);
 
-/// Reads the whole regular file at `path` into `*out`. Returns false and
-/// fills `*error` (when non-null) on a missing, unreadable or non-regular
-/// path, or when fewer bytes arrive than the file's size. Binary-safe.
+/// Reads the whole regular file at `path` in two parts: its first
+/// `head_size` bytes (all of them, if the file is shorter) into `*head` and
+/// the rest into `*rest`, so a reader that parses a fixed header keeps the
+/// body in its own buffer without moving it. Returns false and fills
+/// `*error` (when non-null) on a missing, unreadable or non-regular path, or
+/// when fewer bytes arrive than the file's size; `*head` and `*rest` are
+/// then untouched. Binary-safe.
 [[nodiscard]] bool read_file(const std::filesystem::path& path,
-                             std::string* out, std::string* error = nullptr);
+                             std::size_t head_size, std::string* head,
+                             std::string* rest, std::string* error = nullptr);
 
 }  // namespace sirius

@@ -57,16 +57,27 @@ class FifoRing {
     head_ = 0;
     size_ = 0;
   }
+  /// Makes room for `n` elements in one allocation, at the capacity that
+  /// doubling would reach while pushing them (checkpoint restore knows each
+  /// queue's depth up front).
+  void reserve(std::size_t n) {
+    if (n <= buf_.size()) return;
+    std::size_t cap = buf_.empty() ? kFirstCapacity : buf_.size();
+    while (cap < n) cap *= 2;
+    relocate(cap);
+  }
 
  private:
   static constexpr std::size_t kFirstCapacity = 4;
 
   [[nodiscard]] std::size_t mask() const { return buf_.size() - 1; }
 
-  void grow() {
-    // Doubling keeps capacity a power of two, so the index wrap is a mask;
-    // the old contents are unrolled into FIFO order at the front.
-    const std::size_t cap = buf_.empty() ? kFirstCapacity : 2 * buf_.size();
+  // Doubling keeps capacity a power of two, so the index wrap is a mask.
+  void grow() { relocate(buf_.empty() ? kFirstCapacity : 2 * buf_.size()); }
+
+  // Moves the contents into `cap` slots, unrolled into FIFO order at the
+  // front.
+  void relocate(std::size_t cap) {
     std::vector<T> next;
     // Growth runs only when a queue exceeds its previous peak depth, a
     // bounded number of doublings per queue over a whole run.

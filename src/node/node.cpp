@@ -281,6 +281,7 @@ bool get_cell_queues(ckpt::Reader& r, std::size_t nodes, QueueAt&& queue,
     FifoRing<Cell>& q = queue(d);
     q.clear();
     const std::size_t m = r.count(kCellBytes, what);
+    q.reserve(m);
     for (std::size_t i = 0; i < m; ++i) {
       const Cell c = get_cell(r);
       if (!r.ok()) return false;
@@ -310,6 +311,7 @@ bool get_index_ring(ckpt::Reader& r, FifoRing<std::size_t>* d,
                     std::size_t bound, const char* what) {
   d->clear();
   const std::size_t n = r.count(8, what);
+  d->reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t v = r.u64();
     if (v >= bound) {

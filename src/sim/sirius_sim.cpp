@@ -123,7 +123,11 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
       nodes_.back().cc().exclude(f);
     }
   }
-  rx_.resize(workload_.flows.size());
+  rx_index_.assign(workload_.flows.size(), 0);
+  // Room for a receive record per flow in one allocation: its pages stay
+  // untouched until injection fills them, and the run never pays a
+  // doubling copy, whose old and new blocks would both count in peak RSS.
+  rx_flows_.reserve(workload_.flows.size());
   server_free_.assign(static_cast<std::size_t>(cfg_.servers()), Time::zero());
 
   prop_slots_ = std::max<std::int64_t>(
@@ -302,10 +306,8 @@ void SiriusSim::register_auditors() {
 
   // Reorder buffers of in-progress flows stay structurally consistent.
   auditors_.register_auditor("reorder-buffers", [this] {
-    for (const auto& rxp : rx_) {
-      if (rxp != nullptr && !rxp->reorder.complete()) {
-        node::audit_reorder(rxp->reorder);
-      }
+    for (const RxFlow& rx : rx_flows_) {
+      if (!rx.reorder.complete()) node::audit_reorder(rx.reorder);
     }
   });
 }
@@ -320,10 +322,20 @@ void SiriusSim::finish_flow(FlowId flow, Time completion) {
   --flows_remaining_;
 }
 
+SiriusSim::RxFlow& SiriusSim::add_rx_flow(FlowId flow, std::int64_t cells) {
+  RxFlow& rx = rx_flows_.emplace_back();
+  rx.reorder = node::ReorderBuffer(cells);
+  rx.words_at = rx_words_.size();
+  rx_words_.resize(rx_words_.size() + node::ReorderBuffer::words_for(cells));
+  rx_index_[static_cast<std::size_t>(flow)] =
+      static_cast<std::uint32_t>(rx_flows_.size());
+  return rx;
+}
+
 void SiriusSim::abort_rx_flow(FlowId flow) {
-  auto& rxp = rx_[static_cast<std::size_t>(flow)];
-  if (rxp == nullptr || rxp->aborted || rxp->reorder.complete()) return;
-  rxp->aborted = true;
+  RxFlow* rx = rx_of(flow);
+  if (rx == nullptr || rx->aborted || rx->reorder.complete()) return;
+  rx->aborted = true;
   c_flows_aborted_->inc();
   --flows_remaining_;
 }
@@ -332,7 +344,7 @@ void SiriusSim::deliver(const node::Cell& cell, Time now) {
   // Nested under kTransmit (direct delivery) or kLandInject (fiber
   // landing): the attribution tree shows which path delivery cost rides.
   SIRIUS_PROFILE_SCOPE(hub_->profiler(), telemetry::ProfScope::kDeliver);
-  auto& rxp = rx_[static_cast<std::size_t>(cell.flow)];
+  RxFlow* rxp = rx_of(cell.flow);
   SIRIUS_INVARIANT(rxp != nullptr, "cell delivered for unknown flow %lld",
                    static_cast<long long>(cell.flow));
   if (rxp == nullptr) return;
@@ -346,7 +358,7 @@ void SiriusSim::deliver(const node::Cell& cell, Time now) {
                         kInvalidNode, cell.dst_node, cell.flow, cell.seq);
       return;
     }
-    if (rx.reorder.received(cell.seq)) {
+    if (rx.reorder.received(pending_of(rx), cell.seq)) {
       // The original made it after all: the retransmitted copy is spurious.
       c_duplicates_->inc();
       c_dropped_->inc();
@@ -372,7 +384,7 @@ void SiriusSim::deliver(const node::Cell& cell, Time now) {
                     cell.dst_node, kInvalidNode, cell.dst_node, cell.flow,
                     cell.seq);
 
-  rx.reorder.on_arrival(cell.seq, cell.payload_bytes);
+  rx.reorder.on_arrival(pending_of(rx), cell.seq, cell.payload_bytes);
   if (rx.reorder.complete() && rx.completion.is_infinite()) {
     rx.completion = delivered_at;
     reorder_peaks_.observe_peak(rx.reorder.peak_buffered());
@@ -426,7 +438,7 @@ void SiriusSim::inject_arrivals(Time now) {
       lf.arrival = f.arrival;
       lf.total_cells = cells;
       nodes_[static_cast<std::size_t>(src_rack)].add_flow(lf);
-      rx_[static_cast<std::size_t>(f.id)] = std::make_unique<RxFlow>(cells);
+      add_rx_flow(f.id, cells);
     }
     ++next_flow_;
   }
@@ -716,9 +728,9 @@ void SiriusSim::expire_retx_timers(std::int64_t round, Time now) {
                   &SiriusSim::timer_later);
     const RetxTimer t = retx_heap_.back();
     retx_heap_.pop_back();
-    const auto& rxp = rx_[static_cast<std::size_t>(t.cell.flow)];
-    if (rxp == nullptr || rxp->aborted || rxp->reorder.complete() ||
-        rxp->reorder.received(t.cell.seq)) {
+    const RxFlow* rx = rx_of(t.cell.flow);
+    if (rx == nullptr || rx->aborted || rx->reorder.complete() ||
+        rx->reorder.received(pending_of(*rx), t.cell.seq)) {
       continue;  // the cell made it after all, or nobody is waiting
     }
     if (truth_down_[static_cast<std::size_t>(t.src)] != 0 ||
@@ -1132,6 +1144,7 @@ SiriusSimResult SiriusSim::run() {
 // ---- checkpoint / restore -------------------------------------------------
 
 std::uint64_t SiriusSim::state_fingerprint() const {
+  if (fingerprint_) return *fingerprint_;
   std::uint64_t h = kFnvOffset;
   h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.racks));
   h = fnv_u64(h, static_cast<std::uint64_t>(cfg_.servers_per_rack));
@@ -1166,6 +1179,7 @@ std::uint64_t SiriusSim::state_fingerprint() const {
     h = fnv_u64(h, static_cast<std::uint64_t>(f.size.in_bytes()));
     h = fnv_u64(h, static_cast<std::uint64_t>(f.arrival.picoseconds()));
   }
+  fingerprint_ = h;
   return h;
 }
 
@@ -1195,13 +1209,14 @@ void SiriusSim::serialize_state(ckpt::Writer& w) const {
   for (const node::Node& n : nodes_) n.serialize(w);
 
   w.tag(kTagRx);
-  w.u64(rx_.size());
-  for (const auto& rxp : rx_) {
-    w.b(rxp != nullptr);
-    if (rxp == nullptr) continue;
-    w.i64(rxp->completion.picoseconds());
-    w.b(rxp->aborted);
-    rxp->reorder.serialize(w);
+  w.u64(rx_index_.size());
+  for (const std::uint32_t i : rx_index_) {
+    w.b(i != 0);
+    if (i == 0) continue;
+    const RxFlow& rx = rx_flows_[i - 1];
+    w.i64(rx.completion.picoseconds());
+    w.b(rx.aborted);
+    rx.reorder.serialize(w, pending_of(rx));
   }
   {
     std::vector<std::int64_t> free_ps;
@@ -1441,24 +1456,54 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
   }
 
   if (!r.expect_tag(kTagRx, "receive state")) return false;
-  if (r.count(1, "rx flows") != rx_.size()) {
+  if (r.count(1, "rx flows") != rx_index_.size()) {
     r.fail("rx flow count does not match the workload");
     return false;
   }
-  for (auto& rxp : rx_) {
+  // Only an injected inter-rack flow has receive state, and its bitmap
+  // covers its workload flow's cells (both checked below), so one pass over
+  // the injected flows sizes the bitmap words; the constructor reserved a
+  // record per flow. Restoring receive state allocates nothing more.
+  const DataSize cell = cfg_.slots.cell_size();
+  const auto crosses_core = [this](const workload::Flow& f) {
+    return rack_of(f.src_server) != rack_of(f.dst_server);
+  };
+  std::size_t rx_words = 0;
+  for (std::size_t id = 0; id < next_flow; ++id) {
+    const workload::Flow& f = workload_.flows[id];
+    if (crosses_core(f)) {
+      rx_words +=
+          node::ReorderBuffer::words_for(node::cells_for(f.size, cell));
+    }
+  }
+  rx_flows_.clear();
+  rx_words_.clear();
+  rx_words_.reserve(rx_words);
+  std::fill(rx_index_.begin(), rx_index_.end(), 0u);
+  for (std::size_t id = 0; id < rx_index_.size(); ++id) {
     const bool present = r.b();
     if (!r.ok()) return false;
-    if (!present) {
-      rxp.reset();
-      continue;
+    if (!present) continue;
+    const workload::Flow& f = workload_.flows[id];
+    if (id >= next_flow) {
+      r.fail("receive state for a flow not yet injected");
+      return false;
+    }
+    if (!crosses_core(f)) {
+      r.fail("receive state for an intra-rack flow");
+      return false;
     }
     const std::int64_t comp_ps = r.i64();
     const bool aborted = r.b();
-    auto fresh = std::make_unique<RxFlow>(0);
-    if (!fresh->reorder.restore(r)) return false;
-    fresh->completion = Time::ps(comp_ps);
-    fresh->aborted = aborted;
-    rxp = std::move(fresh);
+    const std::int64_t cells = node::cells_for(f.size, cell);
+    RxFlow& rx = add_rx_flow(static_cast<FlowId>(id), cells);
+    if (!rx.reorder.restore(r, pending_of(rx))) return false;
+    if (rx.reorder.total_cells() != cells) {
+      r.fail("receive state total cells differ from the workload flow's");
+      return false;
+    }
+    rx.completion = Time::ps(comp_ps);
+    rx.aborted = aborted;
   }
   {
     const std::vector<std::int64_t> free_ps = r.vec_i64("server downlinks");

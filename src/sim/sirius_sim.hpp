@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -240,11 +242,14 @@ class SiriusSim {
   void reseed_streams(std::uint64_t salt);
 
  private:
+  /// Receive state of one injected inter-rack flow. Records live by value
+  /// in rx_flows_; the reorder bitmap is the words_for(total_cells) words
+  /// of rx_words_ from `words_at`.
   struct RxFlow {
     node::ReorderBuffer reorder;
+    std::size_t words_at = 0;
     Time completion = Time::infinity();
     bool aborted = false;  ///< an endpoint rack died; late cells are dropped
-    explicit RxFlow(std::int64_t cells) : reorder(cells) {}
   };
   struct Arrival {
     node::Cell cell;
@@ -268,6 +273,24 @@ class SiriusSim {
   [[nodiscard]] NodeId rack_of(std::int32_t server) const {
     return server / cfg_.servers_per_rack;
   }
+  /// The flow's receive record, or null before injection and for flows that
+  /// never cross the core (intra-rack, rejected).
+  [[nodiscard]] RxFlow* rx_of(FlowId flow) {
+    const std::uint32_t i = rx_index_[static_cast<std::size_t>(flow)];
+    return i == 0 ? nullptr : &rx_flows_[i - 1];
+  }
+  [[nodiscard]] std::span<std::uint64_t> pending_of(const RxFlow& rx) {
+    return {rx_words_.data() + rx.words_at,
+            node::ReorderBuffer::words_for(rx.reorder.total_cells())};
+  }
+  [[nodiscard]] std::span<const std::uint64_t> pending_of(
+      const RxFlow& rx) const {
+    return {rx_words_.data() + rx.words_at,
+            node::ReorderBuffer::words_for(rx.reorder.total_cells())};
+  }
+  /// Appends a receive record for `flow` over `cells` cells with a zeroed
+  /// bitmap.
+  RxFlow& add_rx_flow(FlowId flow, std::int64_t cells);
 
   void serialize_state(ckpt::Writer& w) const;
   bool restore_state_impl(ckpt::Reader& r);
@@ -320,8 +343,11 @@ class SiriusSim {
   Rng fault_rng_;
 
   std::vector<node::Node> nodes_;
-  // indexed by flow id
-  std::vector<std::unique_ptr<RxFlow>> rx_;
+  // Receive state: records in injection (= flow id) order, the 1-based
+  // record of each flow id (0 = none), and every flow's reorder bitmap.
+  std::vector<RxFlow> rx_flows_;
+  std::vector<std::uint32_t> rx_index_;
+  std::vector<std::uint64_t> rx_words_;
   // downlink serialisation
   std::vector<Time> server_free_;
   // ring buffer by slot
@@ -360,6 +386,9 @@ class SiriusSim {
   // read, so the next snapshot reserves its buffer once instead of growing
   // it by doubling; never serialized.
   mutable std::size_t ckpt_size_hint_ = 0;
+  // state_fingerprint(), computed on first use: the fields it hashes and
+  // the workload never change after construction; never serialized.
+  mutable std::optional<std::uint64_t> fingerprint_;
   // Next simulated time the checkpoint sink fires at; derived (never
   // serialized): the smallest multiple of cfg_.checkpoint_every strictly
   // after the current slot's start reproduces the straight run's cadence.

@@ -129,8 +129,9 @@ TEST(Auditors, OutOfOrderReleaseIsReported) {
 
 TEST(Auditors, ReorderBufferStateAuditsClean) {
   node::ReorderBuffer rb(4);
-  rb.on_arrival(2, 100);  // buffered out of order
-  rb.on_arrival(0, 100);  // releases the prefix {0}
+  std::vector<std::uint64_t> bits(node::ReorderBuffer::words_for(4));
+  rb.on_arrival(bits, 2, 100);  // buffered out of order
+  rb.on_arrival(bits, 0, 100);  // releases the prefix {0}
   ScopedCollect collect;
   node::audit_reorder(rb);
   EXPECT_EQ(collect.violations(), 0);
@@ -138,9 +139,10 @@ TEST(Auditors, ReorderBufferStateAuditsClean) {
 
 TEST(Auditors, ReorderBufferRejectsOutOfRangeSeq) {
   node::ReorderBuffer rb(4);
+  std::vector<std::uint64_t> bits(node::ReorderBuffer::words_for(4));
   ScopedCollect collect;
-  EXPECT_EQ(rb.on_arrival(7, 100), 0);   // beyond total_cells
-  EXPECT_EQ(rb.on_arrival(-1, 100), 0);  // negative
+  EXPECT_EQ(rb.on_arrival(bits, 7, 100), 0);   // beyond total_cells
+  EXPECT_EQ(rb.on_arrival(bits, -1, 100), 0);  // negative
   EXPECT_EQ(collect.violations(), 2);
   EXPECT_EQ(rb.buffered_cells(), 0);
 }

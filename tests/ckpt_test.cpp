@@ -297,6 +297,99 @@ TEST(CkptSim, CorruptionMatrixRejectsInconsistentNodeCounters) {
   EXPECT_TRUE(ok.restore_state(snap, &error)) << error;
 }
 
+// Receive state is checked against the workload too: a CRC-valid snapshot
+// must not give a flow a reorder buffer over a different number of cells
+// than the flow has, nor give any to an intra-rack flow, which the ToR
+// switches without the core. The cases patch the record of a flow that
+// finished before the snapshot, found by its bytes, and re-frame the
+// payload, so the CRC is valid.
+TEST(CkptSim, CorruptionMatrixRejectsImpossibleReceiveState) {
+  auto cfg = small_net();
+  const auto w = make_wl(cfg, 0.3, 50);
+  std::string snap;
+  Time snap_at;
+  cfg.checkpoint_every = w.last_arrival();
+  cfg.checkpoint_sink = [&](std::int64_t, Time now, const std::string& p) {
+    if (!snap.empty()) return;
+    snap = p;
+    snap_at = now;
+  };
+  const sim::SiriusSimResult done = sim::SiriusSim(cfg, w).run();
+  cfg.checkpoint_sink = nullptr;
+  ASSERT_FALSE(snap.empty());
+
+  // Flow j crosses the core and finished before the snapshot; flow j + 1
+  // stays inside one rack and arrived before it. One more cell than j's
+  // still fits j's bitmap words.
+  const DataSize cell = cfg.slots.cell_size();
+  const auto same_rack = [&cfg](const workload::Flow& f) {
+    return f.src_server / cfg.servers_per_rack ==
+           f.dst_server / cfg.servers_per_rack;
+  };
+  std::size_t j = 0;
+  for (; j + 1 < w.flows.size(); ++j) {
+    const workload::Flow& f = w.flows[j];
+    const workload::Flow& next = w.flows[j + 1];
+    if (!same_rack(f) && done.per_flow_completion[j] < snap_at &&
+        node::cells_for(f.size, cell) % 64 != 0 && same_rack(next) &&
+        next.arrival < snap_at) {
+      break;
+    }
+  }
+  ASSERT_LT(j + 1, w.flows.size()) << "no flow pair fits the cases";
+  const std::int64_t cells = node::cells_for(w.flows[j].size, cell);
+
+  // j's record up to its buffered-cell count: present, its completion, not
+  // aborted, the prefix at the last cell, a clear bitmap, nothing buffered.
+  ckpt::Writer head;
+  head.b(true);
+  head.i64(done.per_flow_completion[j].picoseconds());
+  head.b(false);
+  head.i64(cells);
+  head.i64(cells);
+  const std::size_t words = static_cast<std::size_t>((cells + 63) / 64);
+  head.vec_u64(std::vector<std::uint64_t>(words, 0));
+  head.i64(0);
+  const std::size_t record = snap.find(head.data());
+  ASSERT_NE(record, std::string::npos);
+  // The buffered bytes and the peak follow.
+  const std::size_t record_len = head.data().size() + 16;
+
+  std::string wrong_cells = snap;
+  {
+    ckpt::Writer v;
+    v.i64(cells + 1);
+    wrong_cells.replace(record + 10, v.data().size(), v.data());
+  }
+  // j + 1's absent byte follows j's record; a copy of j's record there
+  // hands the intra-rack flow a finished reorder buffer.
+  std::string intra_rack = snap;
+  intra_rack.replace(record + record_len, 1, snap.substr(record, record_len));
+
+  struct Case {
+    const char* what;
+    const std::string& payload;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"reorder buffer over one cell more than the flow", wrong_cells,
+       "total cells"},
+      {"receive state for an intra-rack flow", intra_rack, "intra-rack"},
+  };
+  for (const Case& c : cases) {
+    const ckpt::LoadResult framed = ckpt::parse(ckpt::frame(c.payload));
+    ASSERT_TRUE(framed.ok()) << c.what << ": " << framed.message;
+    sim::SiriusSim target(cfg, w);
+    std::string error;
+    EXPECT_FALSE(target.restore_state(framed.payload, &error)) << c.what;
+    EXPECT_NE(error.find(c.expect), std::string::npos)
+        << c.what << ": " << error;
+  }
+  sim::SiriusSim ok(cfg, w);
+  std::string error;
+  EXPECT_TRUE(ok.restore_state(snap, &error)) << error;
+}
+
 TEST(CkptSim, RestoreRejectsMismatchedWorkload) {
   const auto cfg = small_net();
   const auto w = make_wl(cfg, 0.3, 50);

@@ -423,19 +423,40 @@ TEST(Crc32, CheckValue) {
   EXPECT_EQ(crc32(std::string_view()), 0u);
 }
 
-TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Lengths 0..64 from offsets 0..7 cover every split between the
-  // eight-byte body and the bytewise tail, at every alignment.
-  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 17);
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (std::size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(crc32(buf.data() + off, len),
+using Crc32Fn = std::uint32_t (*)(const void*, std::size_t);
+
+// Lengths 0..300 from offsets 0..15 cover every split between the 64-byte
+// fold body, the 16-byte blocks, the eight-byte slice body and the
+// bytewise tail, at every alignment; 1 MiB covers a long fold.
+void expect_matches_bitwise(Crc32Fn crc) {
+  const std::vector<std::uint8_t> buf = random_bytes(300 + 16, 17);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc(buf.data() + off, len),
                 crc32_bitwise(buf.data() + off, len))
           << "offset " << off << " length " << len;
     }
   }
   const std::vector<std::uint8_t> big = random_bytes(std::size_t{1} << 20, 23);
-  EXPECT_EQ(crc32(big), crc32_bitwise(big.data(), big.size()));
+  EXPECT_EQ(crc(big.data(), big.size()),
+            crc32_bitwise(big.data(), big.size()));
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  expect_matches_bitwise([](const void* p, std::size_t n) {
+    return crc32(p, n);
+  });
+}
+
+TEST(Crc32, SliceBy8MatchesBitwiseReference) {
+  expect_matches_bitwise(&crc32_slice8);
+}
+
+TEST(Crc32, FoldMatchesBitwiseReference) {
+  if (!crc32_fold_available()) {
+    GTEST_SKIP() << "this CPU has no PCLMULQDQ; crc32() uses slice-by-8";
+  }
+  expect_matches_bitwise(&crc32_fold);
 }
 
 // ---- crash-safe file helpers ----------------------------------------------
@@ -465,13 +486,24 @@ TEST(AtomicFile, WriteThenReadRoundTrips) {
   const std::string contents(bytes.begin(), bytes.end());
   std::string error;
   ASSERT_TRUE(write_file_atomic(file, contents, &error)) << error;
+  std::string head;
   std::string back;
-  ASSERT_TRUE(read_file(file, &back, &error)) << error;
+  ASSERT_TRUE(read_file(file, 0, &head, &back, &error)) << error;
+  EXPECT_TRUE(head.empty());
   EXPECT_EQ(back, contents);
-  // An empty file reads back empty, not as a failure.
+  // A head splits off the first bytes; the rest follows unmoved.
+  ASSERT_TRUE(read_file(file, 24, &head, &back, &error)) << error;
+  EXPECT_EQ(head, contents.substr(0, 24));
+  EXPECT_EQ(back, contents.substr(24));
+  // An empty file reads back empty, not as a failure, and a file shorter
+  // than the head is all head.
   ASSERT_TRUE(write_file_atomic(file, "", &error)) << error;
   back = "stale";
-  ASSERT_TRUE(read_file(file, &back, &error)) << error;
+  ASSERT_TRUE(read_file(file, 0, &head, &back, &error)) << error;
+  EXPECT_TRUE(back.empty());
+  ASSERT_TRUE(write_file_atomic(file, "short", &error)) << error;
+  ASSERT_TRUE(read_file(file, 24, &head, &back, &error)) << error;
+  EXPECT_EQ(head, "short");
   EXPECT_TRUE(back.empty());
 }
 
@@ -481,8 +513,9 @@ TEST(AtomicFile, OverwriteLeavesNoTempSibling) {
   std::string error;
   ASSERT_TRUE(write_file_atomic(file, "first version, longer", &error));
   ASSERT_TRUE(write_file_atomic(file, "second", &error)) << error;
+  std::string head;
   std::string back;
-  ASSERT_TRUE(read_file(file, &back, &error)) << error;
+  ASSERT_TRUE(read_file(file, 0, &head, &back, &error)) << error;
   EXPECT_EQ(back, "second");
   std::vector<fs::path> entries;
   for (const auto& e : fs::directory_iterator(dir.path)) {
@@ -494,15 +527,16 @@ TEST(AtomicFile, OverwriteLeavesNoTempSibling) {
 TEST(AtomicFile, FailuresNameThePath) {
   const TempDir dir("failures");
   std::string error;
+  std::string head;
   std::string out = "untouched";
   const fs::path missing = dir.path / "missing.bin";
-  EXPECT_FALSE(read_file(missing, &out, &error));
+  EXPECT_FALSE(read_file(missing, 0, &head, &out, &error));
   EXPECT_NE(error.find(missing.string()), std::string::npos) << error;
   EXPECT_EQ(out, "untouched");
 
   // A directory is not a file to read.
   error.clear();
-  EXPECT_FALSE(read_file(dir.path, &out, &error));
+  EXPECT_FALSE(read_file(dir.path, 0, &head, &out, &error));
   EXPECT_NE(error.find(dir.path.string()), std::string::npos) << error;
 
   // Unwritable destinations, whatever the caller's privileges: a parent

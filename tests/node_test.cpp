@@ -272,42 +272,82 @@ TEST(Node, QueueGaugesTrackVqAndFq) {
 
 TEST(ReorderBuffer, InOrderPassthrough) {
   ReorderBuffer rb(3);
-  EXPECT_EQ(rb.on_arrival(0, 562), 1);
-  EXPECT_EQ(rb.on_arrival(1, 562), 1);
-  EXPECT_EQ(rb.on_arrival(2, 100), 1);
+  std::vector<std::uint64_t> bits(ReorderBuffer::words_for(3));
+  EXPECT_EQ(rb.on_arrival(bits, 0, 562), 1);
+  EXPECT_EQ(rb.on_arrival(bits, 1, 562), 1);
+  EXPECT_EQ(rb.on_arrival(bits, 2, 100), 1);
   EXPECT_TRUE(rb.complete());
   EXPECT_EQ(rb.peak_buffered(), DataSize::zero());
 }
 
 TEST(ReorderBuffer, OutOfOrderBuffersAndReleases) {
   ReorderBuffer rb(4);
-  EXPECT_EQ(rb.on_arrival(2, 562), 0);
-  EXPECT_EQ(rb.on_arrival(1, 562), 0);
+  std::vector<std::uint64_t> bits(ReorderBuffer::words_for(4));
+  EXPECT_EQ(rb.on_arrival(bits, 2, 562), 0);
+  EXPECT_EQ(rb.on_arrival(bits, 1, 562), 0);
   EXPECT_EQ(rb.buffered_cells(), 2);
   EXPECT_EQ(rb.peak_buffered(), DataSize::bytes(2 * 562));
   // Seq 0 releases 0,1,2 at once.
-  EXPECT_EQ(rb.on_arrival(0, 562), 3);
+  EXPECT_EQ(rb.on_arrival(bits, 0, 562), 3);
   EXPECT_EQ(rb.buffered_cells(), 0);
   EXPECT_FALSE(rb.complete());
-  EXPECT_EQ(rb.on_arrival(3, 10), 1);
+  EXPECT_EQ(rb.on_arrival(bits, 3, 10), 1);
   EXPECT_TRUE(rb.complete());
 }
 
 TEST(ReorderBuffer, DuplicatesIgnored) {
   ReorderBuffer rb(2);
-  rb.on_arrival(0, 562);
-  EXPECT_EQ(rb.on_arrival(0, 562), 0);
-  rb.on_arrival(1, 562);
+  std::vector<std::uint64_t> bits(ReorderBuffer::words_for(2));
+  rb.on_arrival(bits, 0, 562);
+  EXPECT_EQ(rb.on_arrival(bits, 0, 562), 0);
+  rb.on_arrival(bits, 1, 562);
   EXPECT_TRUE(rb.complete());
 }
 
 TEST(ReorderBuffer, PeakSurvivesRelease) {
   ReorderBuffer rb(10);
-  for (std::int32_t s = 9; s >= 1; --s) rb.on_arrival(s, 562);
+  std::vector<std::uint64_t> bits(ReorderBuffer::words_for(10));
+  for (std::int32_t s = 9; s >= 1; --s) rb.on_arrival(bits, s, 562);
   EXPECT_EQ(rb.peak_buffered(), DataSize::bytes(9 * 562));
-  rb.on_arrival(0, 562);
+  rb.on_arrival(bits, 0, 562);
   EXPECT_TRUE(rb.complete());
   EXPECT_EQ(rb.peak_buffered(), DataSize::bytes(9 * 562));
+}
+
+TEST(ReorderBuffer, RestoreRoundTripsAndChecksItsBitmap) {
+  ReorderBuffer rb(70);
+  std::vector<std::uint64_t> bits(ReorderBuffer::words_for(70));
+  rb.on_arrival(bits, 0, 562);
+  rb.on_arrival(bits, 5, 562);
+  rb.on_arrival(bits, 66, 562);
+  ckpt::Writer w;
+  rb.serialize(w, bits);
+  const std::string bytes = w.data();
+
+  ReorderBuffer back;
+  std::vector<std::uint64_t> back_bits(bits.size());
+  ckpt::Reader r(bytes);
+  ASSERT_TRUE(back.restore(r, back_bits)) << r.error();
+  ckpt::Writer again;
+  back.serialize(again, back_bits);
+  EXPECT_EQ(again.data(), bytes);
+  EXPECT_EQ(back.on_arrival(back_bits, 1, 562), 1);
+
+  // Storage of the wrong size is rejected before any word is read.
+  ReorderBuffer small;
+  std::vector<std::uint64_t> one_word(1);
+  ckpt::Reader short_r(bytes);
+  EXPECT_FALSE(small.restore(short_r, one_word));
+
+  // The buffered-cell count must be the bitmap's set bits: on_arrival skips
+  // the bitmap when it reads zero.
+  ckpt::Writer lying;
+  ReorderBuffer(70).serialize(lying, bits);
+  ReorderBuffer target;
+  ckpt::Reader lying_r(lying.data());
+  EXPECT_FALSE(target.restore(lying_r, back_bits));
+  EXPECT_NE(lying_r.error().find("bitmap"), std::string::npos)
+      << lying_r.error();
 }
 
 }  // namespace

@@ -8,8 +8,19 @@ Each pair runs `benchmark/run.py` once in each checkout, and the side that
 goes first alternates from pair to pair, so drift on a shared host falls on
 both sides alike. For every end-to-end metric that CHANGE_DIR's
 BENCHMARK.json declares, it prints each side's median and quartiles and how
-many pairs the change won (strictly better in the metric's direction);
-every run's values go to stderr as it finishes. This script times nothing
+many pairs the change won (strictly better in the metric's direction),
+then one verdict word:
+
+  claim-ok      the change won at least 9 pairs in 10 and its median beats
+                the parent's by more than the parent's IQR (Q3 - Q1);
+  worse         the change's median is worse than the parent's by more than
+                the metric's BENCHMARK.json bound (a share of the median);
+  within-bound  the change's worse quartile (Q3 when lower is better, Q1
+                when higher is) stays inside that bound;
+  unresolved    anything else: the median is inside the bound but the
+                quartile is not, or the metric has no bound.
+
+Every run's values go to stderr as it finishes. This script times nothing
 itself: every number is what run.py printed. Each
 checkout builds its own harness on its first run (see benchmark/README.md).
 """
@@ -45,6 +56,29 @@ def quantile(sorted_xs, q):
 def summary(xs):
     s = sorted(xs)
     return quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75)
+
+
+def verdict(metric, parent, change, wins, pairs):
+    """The verdict word for one metric (see the module docstring)."""
+    lower = metric["better"] == "lower"
+    p_q1, p_med, p_q3 = summary(parent)
+    c_q1, c_med, c_q3 = summary(change)
+    gain = p_med - c_med if lower else c_med - p_med
+    if 10 * wins >= 9 * pairs and gain > p_q3 - p_q1:
+        return "claim-ok"
+    bound = metric.get("bound")
+    if bound is None:
+        return "unresolved"
+    limit = p_med * (1 + bound) if lower else p_med * (1 - bound)
+
+    def past(x):
+        return x > limit if lower else x < limit
+
+    if past(c_med):
+        return "worse"
+    if not past(c_q3 if lower else c_q1):
+        return "within-bound"
+    return "unresolved"
 
 
 def main():
@@ -91,8 +125,9 @@ def main():
         for side in ("parent", "change"):
             q1, med, q3 = summary(vals[side])
             cols.append(f"{side} {med:.6g} [{q1:.6g}, {q3:.6g}]")
+        word = verdict(m, vals["parent"], vals["change"], wins, args.pairs)
         print(f"  {name} ({m['unit']}, {m['better']} is better): "
-              f"{'  '.join(cols)}  change wins {wins}/{args.pairs}")
+              f"{'  '.join(cols)}  change wins {wins}/{args.pairs}  {word}")
     return 0
 
 
