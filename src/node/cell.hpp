@@ -52,15 +52,4 @@ inline Cell get_cell(ckpt::Reader& r) {
   return div_ceil(size, capacity);
 }
 
-/// Application bytes carried by cell `seq` of a `size`-byte flow.
-[[nodiscard]] inline std::int32_t payload_of(DataSize size, DataSize capacity,
-                                             std::int32_t seq) {
-  const std::int64_t total = cells_for(size, capacity);
-  const DataSize last = size - capacity * (total - 1);
-  // Cell::payload_bytes is a wire-format int32, so the last cell's size must
-  // leave the strong type here. sirius-lint: allow(unit-escape)
-  if (seq + 1 < total) return static_cast<std::int32_t>(capacity.in_bytes());
-  return static_cast<std::int32_t>(last.in_bytes());  // sirius-lint: allow(unit-escape)
-}
-
 }  // namespace sirius::node

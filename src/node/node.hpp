@@ -20,7 +20,7 @@
 #include "common/hot_path.hpp"
 #include "common/time.hpp"
 #include "node/cell.hpp"
-#include "node/fifo_ring.hpp"
+#include "node/pooled_queues.hpp"
 #include "stats/occupancy.hpp"
 
 namespace sirius::node {
@@ -91,9 +91,9 @@ class Node {
   /// across each server's flows — modelling the §4.3 credit-based
   /// server->rack flow control, which gives every server an equal share of
   /// the LOCAL buffer regardless of how many elephants its neighbours run.
+  /// Drops exhausted flows from the live-flow index as it scans.
   void pending_cell_dsts(Time now, Time cell_interval, std::size_t limit,
-                         PendingScratch* scratch,
-                         std::vector<NodeId>* out) const;
+                         PendingScratch* scratch, std::vector<NodeId>* out);
 
   /// True if any flow still has cells not yet moved out of LOCAL
   /// (regardless of injection pacing).
@@ -124,8 +124,7 @@ class Node {
   SIRIUS_HOT void push_retx(const Cell& c);
   [[nodiscard]] std::int64_t retx_total() const { return retx_total_; }
   [[nodiscard]] std::int32_t retx_depth(NodeId dst) const {
-    return static_cast<std::int32_t>(
-        retx_[static_cast<std::size_t>(dst)].size());
+    return static_cast<std::int32_t>(retx_.size(static_cast<std::size_t>(dst)));
   }
 
   // ---- failover queue surgery (§4.5) -------------------------------------
@@ -146,11 +145,10 @@ class Node {
   SIRIUS_HOT void push_vq(NodeId intermediate, const Cell& c);
   SIRIUS_HOT std::optional<Cell> pop_vq(NodeId intermediate);
   [[nodiscard]] bool vq_empty(NodeId intermediate) const {
-    return peers_[static_cast<std::size_t>(intermediate)].vq.empty();
+    return queues_.empty(vq_list(intermediate));
   }
   [[nodiscard]] std::int32_t vq_depth(NodeId intermediate) const {
-    return static_cast<std::int32_t>(
-        peers_[static_cast<std::size_t>(intermediate)].vq.size());
+    return static_cast<std::int32_t>(queues_.size(vq_list(intermediate)));
   }
 
   // ---- forward queues per destination (intermediate role) ---------------
@@ -158,11 +156,10 @@ class Node {
   SIRIUS_HOT void push_fq(NodeId dst, const Cell& c);
   SIRIUS_HOT std::optional<Cell> pop_fq(NodeId dst);
   [[nodiscard]] bool fq_empty(NodeId dst) const {
-    return peers_[static_cast<std::size_t>(dst)].fq.empty();
+    return queues_.empty(fq_list(dst));
   }
   [[nodiscard]] std::int32_t fq_depth(NodeId dst) const {
-    return static_cast<std::int32_t>(
-        peers_[static_cast<std::size_t>(dst)].fq.size());
+    return static_cast<std::int32_t>(queues_.size(fq_list(dst)));
   }
 
   // ---- occupancy bitmap (transmit) ---------------------------------------
@@ -180,7 +177,14 @@ class Node {
 
   /// Number of destination slots the per-dst queues span (= node count);
   /// lets auditors sweep every (node, dst) pair without knowing the config.
-  [[nodiscard]] std::size_t queue_span() const { return peers_.size(); }
+  [[nodiscard]] std::size_t queue_span() const { return retx_.lists(); }
+
+  /// Slots held by this node's queue pools (sim::WorkCounters::queue_slots):
+  /// the sum of each pool's peak live entry count.
+  [[nodiscard]] std::size_t queue_slots() const {
+    return queues_.slots() + retx_.slots() + per_dst_.slots() +
+           spray_ready_.slots();
+  }
 
   /// Peak data held in this node's VQs + FQs (Fig. 10c).
   [[nodiscard]] DataSize peak_queue() const { return gauge_.peak(); }
@@ -196,18 +200,28 @@ class Node {
  private:
   LocalFlow* oldest_pending_flow_for(NodeId dst, Time now, Time cell_interval);
   Cell cut_cell(LocalFlow& f);
+  // The FQ and VQ towards one peer are adjacent lists of `queues_`, so
+  // their headers sit side by side: transmit pops one and tests both for
+  // the occupancy bit.
+  static std::size_t fq_list(NodeId peer) {
+    return 2 * static_cast<std::size_t>(peer);
+  }
+  static std::size_t vq_list(NodeId peer) { return fq_list(peer) + 1; }
   void mark_occupied(NodeId peer) {
     const auto p = static_cast<std::size_t>(peer);
     occupied_[p / 64] |= std::uint64_t{1} << (p % 64);
   }
   /// Clears `peer`'s bit once both of its queues are empty.
   void update_occupied(NodeId peer) {
-    const auto p = static_cast<std::size_t>(peer);
-    if (peers_[p].fq.empty() && peers_[p].vq.empty()) {
+    if (fq_empty(peer) && vq_empty(peer)) {
+      const auto p = static_cast<std::size_t>(peer);
       occupied_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
     }
   }
   void rebuild_occupied();
+  /// Index of the first LOCAL flow not yet exhausted (local_.size() if
+  /// none): the FIFO cursor a checkpoint records.
+  [[nodiscard]] std::size_t first_unfinished() const;
 
   NodeId self_;
   cc::RequestGrantNode cc_;
@@ -215,24 +229,21 @@ class Node {
 
   // FIFO by arrival; never popped
   std::vector<LocalFlow> local_;
-  // indices into local_
-  std::vector<FifoRing<std::size_t>> per_dst_;
-  // FIFO cursor past exhausted flows
-  std::size_t first_unfinished_ = 0;
+  // Indices into local_ of the flows not yet exhausted, in arrival order;
+  // may still hold flows exhausted since the last pending_cell_dsts scan.
+  // Derived from local_, never serialized.
+  std::vector<std::uint32_t> live_;
+  // per destination: indices into local_
+  PooledQueues<std::uint32_t> per_dst_;
   std::int64_t unfinished_flows_ = 0;
-  // RR rotation for take_any_cell
-  FifoRing<std::size_t> spray_ready_;
+  // RR rotation for take_any_cell (one list)
+  PooledQueues<std::uint32_t> spray_ready_;
 
-  // The FQ and VQ towards one peer share a cache line: transmit pops one
-  // and tests both for the occupancy bit.
-  struct alignas(64) PeerQueues {
-    FifoRing<Cell> fq;
-    FifoRing<Cell> vq;
-  };
-  std::vector<PeerQueues> peers_;
+  // FQ and VQ per peer (fq_list / vq_list)
+  PooledQueues<Cell> queues_;
   // per destination, served first
-  std::vector<FifoRing<Cell>> retx_;
-  // bit p: peers_[p] holds a cell
+  PooledQueues<Cell> retx_;
+  // bit p: the FQ or VQ towards p holds a cell
   std::vector<std::uint64_t> occupied_;
   std::int64_t retx_total_ = 0;
   stats::ByteGauge gauge_;
@@ -242,32 +253,32 @@ class Node {
 // here so the slot loop inlines them.
 
 inline void Node::push_vq(NodeId intermediate, const Cell& c) {
-  peers_[static_cast<std::size_t>(intermediate)].vq.push(c);
+  queues_.push(vq_list(intermediate), c);
   mark_occupied(intermediate);
   gauge_.add(cell_capacity_);
 }
 
 inline std::optional<Cell> Node::pop_vq(NodeId intermediate) {
-  auto& q = peers_[static_cast<std::size_t>(intermediate)].vq;
-  if (q.empty()) return std::nullopt;
-  Cell c = q.front();
-  q.pop();
+  const std::size_t l = vq_list(intermediate);
+  if (queues_.empty(l)) return std::nullopt;
+  Cell c = queues_.front(l);
+  queues_.pop(l);
   update_occupied(intermediate);
   gauge_.remove(cell_capacity_);
   return c;
 }
 
 inline void Node::push_fq(NodeId dst, const Cell& c) {
-  peers_[static_cast<std::size_t>(dst)].fq.push(c);
+  queues_.push(fq_list(dst), c);
   mark_occupied(dst);
   gauge_.add(cell_capacity_);
 }
 
 inline std::optional<Cell> Node::pop_fq(NodeId dst) {
-  auto& q = peers_[static_cast<std::size_t>(dst)].fq;
-  if (q.empty()) return std::nullopt;
-  Cell c = q.front();
-  q.pop();
+  const std::size_t l = fq_list(dst);
+  if (queues_.empty(l)) return std::nullopt;
+  Cell c = queues_.front(l);
+  queues_.pop(l);
   update_occupied(dst);
   gauge_.remove(cell_capacity_);
   return c;

@@ -476,7 +476,8 @@ void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
         continue;
       }
       auto& src = nodes_[static_cast<std::size_t>(g.to)];
-      const bool from_retx = src.retx_depth(g.dst) > 0;
+      const bool from_retx =
+          src.retx_total() > 0 && src.retx_depth(g.dst) > 0;
       auto cell = src.take_cell_for(g.dst, now, nic_cell_time_);
       if (cell.has_value()) {
         // Retransmitted cells re-entered the ledger when they were
@@ -1138,6 +1139,9 @@ SiriusSimResult SiriusSim::run() {
   r.failover = fo_;
   r.work.pairs_visited = pairs_visited_;
   r.work.flows_visited = pending_scratch_.flows_visited;
+  for (const node::Node& n : nodes_) {
+    r.work.queue_slots += static_cast<std::int64_t>(n.queue_slots());
+  }
   return r;
 }
 

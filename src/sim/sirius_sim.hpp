@@ -174,6 +174,11 @@ struct WorkCounters {
   std::int64_t pairs_visited = 0;
   /// LOCAL flows Node::pending_cell_dsts scanned.
   std::int64_t flows_visited = 0;
+  /// Slots the nodes' queue pools hold at the end of the run
+  /// (Node::queue_slots summed): the queues' memory footprint, which grows
+  /// with peak occupancy, not with node pairs. A restored sim's pools start
+  /// from the restored cells.
+  std::int64_t queue_slots = 0;
 };
 
 struct SiriusSimResult {

@@ -11,9 +11,10 @@
 //                us and once after the run, so the queues' serialized bytes
 //                are pinned while they hold cells, not only once drained.
 // A kernel rewrite must reproduce all three. Each entry also pins the
-// kernel's exact work (sim::WorkCounters, kept out of the digests): the
-// run is deterministic, so a change in pairs or flows visited is a change
-// in the work done per slot, visible here without any timing noise.
+// kernel's exact work and footprint (sim::WorkCounters, kept out of the
+// digests): the run is deterministic, so a change in pairs or flows visited
+// is a change in the work done per slot, and a change in queue slots one in
+// the memory the node queues hold, visible here without any timing noise.
 // When `flows` moves, the test names the first divergent flow from the
 // per-flow completion times kept in tests/golden/<entry>.txt. Every run also
 // writes its actual per-flow file to <build>/tests/golden_actual/, which is
@@ -132,6 +133,7 @@ struct Golden {
   std::uint64_t state;
   std::int64_t pairs_visited;
   std::int64_t flows_visited;
+  std::int64_t queue_slots;
 };
 
 sim::SiriusSimConfig base_config() {
@@ -158,30 +160,30 @@ workload::Workload make_workload(const sim::SiriusSimConfig& cfg, double load,
 
 // Re-pinning any digest is a behaviour change: it needs a CHANGES.md line
 // that says why the simulator's results moved. A change to the kernel's work
-// alone re-pins only the two work columns, also with a CHANGES.md line, and
-// leaves every digest as it was.
+// alone re-pins only the three work columns, also with a CHANGES.md line,
+// and leaves every digest as it was.
 const std::vector<Golden>& goldens() {
   static const std::vector<Golden> kGoldens{
       // name, config tweak, load, flows, the results/flows/state pins, then
-      // pairs and flows visited.
+      // pairs visited, flows visited and queue slots.
       {"valiant_q2", [](sim::SiriusSimConfig* c) { c->queue_limit = 2; }, 0.6,
        400, 0xd0d63f31aade39f0, 0x57355745703dddcc, 0x7099e48b1fa81e98,
-       129495, 88705},
+       129495, 36160, 1077},
       {"valiant_q16", [](sim::SiriusSimConfig* c) { c->queue_limit = 16; },
        0.6, 400, 0x9c83a2eac1a058ff, 0xd328432fb0bc63a5, 0x0ea8450fc1ccf958,
-       129372, 81955},
+       129372, 33611, 1134},
       {"ideal",
        [](sim::SiriusSimConfig* c) { c->routing = sim::RoutingMode::kIdeal; },
        0.6, 400, 0x4c58a7a841b09fe4, 0x0af0acfa5d76dbc2, 0x1d01159646b75db1,
-       289120, 0},
+       289120, 0, 2551},
       {"direct",
        [](sim::SiriusSimConfig* c) { c->routing = sim::RoutingMode::kDirect; },
        0.3, 300, 0x41f4575757dc0461, 0x1cee5e5476e7c333, 0x84c83688634be468,
-       692320, 0},
+       692320, 0, 385},
       {"static_failed_rack",
        [](sim::SiriusSimConfig* c) { c->faults.fail_rack(5, Time::zero()); },
        0.5, 400, 0xaeaaa3fc6529c5c1, 0x334ec8808f652b72, 0xc541b16afd479574,
-       120149, 65698},
+       120149, 28565, 983},
       {"midrun_fault_grey",
        [](sim::SiriusSimConfig* c) {
          c->faults.fail_rack(3, Time::us(60), Time::us(220));
@@ -189,14 +191,14 @@ const std::vector<Golden>& goldens() {
          c->record_recovery_curve = true;
        },
        0.5, 400, 0x7f8a20fe691c7c5f, 0x328580a56d45f837, 0x103cd180582019b0,
-       250870, 55213},
+       250870, 23280, 1005},
       {"valiant_q4_32rack",
        [](sim::SiriusSimConfig* c) {
          c->racks = 32;
          c->base_uplinks = 8;  // 12 uplinks over 31 peers: 3 slots a round
        },
        0.8, 600, 0xdefd986508e9d95f, 0x983ba25546786b6c, 0xb625dbe937614ae2,
-       216924, 115030},
+       216924, 37978, 2964},
   };
   return kGoldens;
 }
@@ -288,6 +290,8 @@ TEST_P(GoldenTest, MatchesPinnedDigests) {
       << g.name << ": the transmit kernel visits a different number of pairs";
   EXPECT_EQ(r.work.flows_visited, g.flows_visited)
       << g.name << ": the request builder scans a different number of flows";
+  EXPECT_EQ(r.work.queue_slots, g.queue_slots)
+      << g.name << ": the node queues hold a different number of slots";
   // Where the kernel skips idle pairs, each pair it visits sends one cell.
   if (cfg.routing == sim::RoutingMode::kValiant && !cfg.faults.dynamic()) {
     EXPECT_EQ(r.work.pairs_visited, r.slots_tx_first + r.slots_tx_relay)

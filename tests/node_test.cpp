@@ -1,13 +1,15 @@
 // Unit tests for node/: cells, LOCAL buffer semantics, queues, reordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
 #include "node/cell.hpp"
-#include "node/fifo_ring.hpp"
 #include "node/node.hpp"
+#include "node/pooled_queues.hpp"
 #include "node/reorder_buffer.hpp"
 
 namespace sirius::node {
@@ -18,7 +20,7 @@ const Time kInject = Time::ns(90);  // one cell per 90 ns at 50 Gbps
 
 cc::RequestGrantConfig cc_cfg() { return cc::RequestGrantConfig{8, 4}; }
 
-std::vector<NodeId> pending_dsts(const Node& n, Time now, std::size_t limit) {
+std::vector<NodeId> pending_dsts(Node& n, Time now, std::size_t limit) {
   PendingScratch scratch;
   std::vector<NodeId> out;
   n.pending_cell_dsts(now, kInject, limit, &scratch, &out);
@@ -56,74 +58,302 @@ void write_cell(ckpt::Writer& w, const Cell& c) {
   w.i32(c.retries);
 }
 
-TEST(FifoRing, KeepsFifoOrderAcrossWrapAndGrowth) {
-  // Random pushes and pops against a std::deque reference: the head wraps
-  // around the power-of-two storage many times and the storage doubles
-  // with elements both straddling the wrap and not.
-  FifoRing<Cell> ring;
-  std::deque<Cell> ref;
+/// List `l` of `pool` front to back, as flow ids.
+std::vector<FlowId> flows_of(const PooledQueues<Cell>& pool, std::size_t l) {
+  std::vector<FlowId> out;
+  pool.for_each(l, [&out](const Cell& c) { out.push_back(c.flow); });
+  return out;
+}
+
+std::vector<FlowId> flows_of(const std::deque<Cell>& q) {
+  std::vector<FlowId> out;
+  for (const Cell& c : q) out.push_back(c.flow);
+  return out;
+}
+
+TEST(PooledQueues, KeepsFifoOrderAcrossInterleavedLists) {
+  // Random pushes, pops, rotations and clears on five lists sharing one
+  // pool, against a std::deque per list: every list's slots end up
+  // interleaved with the others' and recycled through the free list.
+  constexpr std::size_t kLists = 5;
+  PooledQueues<Cell> pool(kLists);
+  std::vector<std::deque<Cell>> ref(kLists);
   Rng rng(3);
   std::int32_t next = 0;
   for (int step = 0; step < 5000; ++step) {
-    const bool push = ref.empty() || rng.below(100) < (step < 2500 ? 55 : 45);
-    if (push) {
-      ring.push(cell_no(next));
-      ref.push_back(cell_no(next));
+    const std::size_t l = rng.below(kLists);
+    const std::uint64_t op = rng.below(100);
+    std::deque<Cell>& q = ref[l];
+    if (q.empty() || op < (step < 2500 ? 50 : 40)) {
+      pool.push(l, cell_no(next));
+      q.push_back(cell_no(next));
       ++next;
-    } else if (rng.below(4) == 0) {
-      ring.rotate();
-      ref.push_back(ref.front());
-      ref.pop_front();
+    } else if (op < 65) {
+      pool.rotate(l);
+      q.push_back(q.front());
+      q.pop_front();
+    } else if (op < 67) {
+      pool.clear(l);
+      q.clear();
     } else {
-      ASSERT_EQ(ring.front().flow, ref.front().flow);
-      ring.pop();
-      ref.pop_front();
+      ASSERT_EQ(pool.front(l).flow, q.front().flow);
+      pool.pop(l);
+      q.pop_front();
     }
-    ASSERT_EQ(ring.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(ring[i].flow, ref[i].flow) << "step " << step << " index " << i;
+    for (std::size_t k = 0; k < kLists; ++k) {
+      ASSERT_EQ(pool.size(k), ref[k].size());
+      ASSERT_EQ(pool.empty(k), ref[k].empty());
+      ASSERT_EQ(flows_of(pool, k), flows_of(ref[k]))
+          << "step " << step << " list " << k;
     }
   }
-  EXPECT_GT(ring.capacity(), 4u);  // it grew past the first allocation
 }
 
-TEST(FifoRing, SerializesLikeTheDeque) {
-  // Checkpoints write a queue as its count then its cells front to back;
-  // the ring must produce the same bytes as the deque it replaced, also
-  // after wrap-around.
-  FifoRing<Cell> ring;
-  std::deque<Cell> ref;
-  for (std::int32_t k = 0; k < 6; ++k) {
-    ring.push(cell_no(k));
-    ref.push_back(cell_no(k));
+TEST(PooledQueues, HoldsAsManySlotsAsItsPeakLiveEntries) {
+  PooledQueues<std::uint32_t> pool(4);
+  EXPECT_EQ(pool.slots(), 0u);  // nothing allocated until the first push
+  Rng rng(8);
+  std::size_t live = 0;
+  std::size_t peak = 0;
+  for (std::uint32_t step = 0; step < 3000; ++step) {
+    const std::size_t l = rng.below(4);
+    const std::uint64_t op = rng.below(100);
+    if (pool.empty(l) || op < (step < 1500 ? 55 : 40)) {
+      pool.push(l, step);
+      peak = std::max(peak, ++live);
+    } else if (op < 60) {
+      pool.rotate(l);
+    } else if (op < 62) {
+      live -= pool.size(l);
+      pool.clear(l);
+    } else {
+      pool.pop(l);
+      --live;
+    }
+    ASSERT_EQ(pool.slots(), peak) << "step " << step;
   }
-  for (int k = 0; k < 5; ++k) {
-    ring.pop();
-    ref.pop_front();
-  }
-  for (std::int32_t k = 6; k < 12; ++k) {
-    ring.push(cell_no(k));
-    ref.push_back(cell_no(k));
-  }
-  ckpt::Writer a;
-  a.u64(ring.size());
-  for (std::size_t i = 0; i < ring.size(); ++i) write_cell(a, ring[i]);
-  ckpt::Writer b;
-  b.u64(ref.size());
-  for (const Cell& c : ref) write_cell(b, c);
-  EXPECT_EQ(a.data(), b.data());
+  pool.reset();
+  EXPECT_EQ(pool.slots(), 0u);
+  EXPECT_TRUE(pool.empty(0));
 }
 
-TEST(FifoRing, ClearKeepsStorage) {
-  FifoRing<std::size_t> ring;
-  EXPECT_EQ(ring.capacity(), 0u);  // nothing allocated until the first push
-  for (std::size_t k = 0; k < 9; ++k) ring.push(k);
-  const std::size_t cap = ring.capacity();
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.capacity(), cap);
-  ring.push(42);
-  EXPECT_EQ(ring.front(), 42u);
+TEST(PooledQueues, ReusesTheMostRecentlyFreedSlot) {
+  PooledQueues<std::uint32_t> pool(3);
+  pool.push(0, 10);
+  pool.push(1, 11);
+  pool.push(2, 12);
+  const std::uint32_t* a = &pool.front(0);
+  const std::uint32_t* b = &pool.front(1);
+  const std::uint32_t* c = &pool.front(2);
+  pool.pop(1);
+  pool.pop(0);  // freed last, so reused first
+  pool.push(2, 13);
+  pool.push(1, 14);
+  EXPECT_EQ(pool.slots(), 3u);
+  EXPECT_EQ(&pool.front(1), b);
+  pool.pop(2);
+  EXPECT_EQ(pool.front(2), 13u);
+  EXPECT_EQ(&pool.front(2), a);
+  // clear hands a whole list back, its front slot on top.
+  pool.clear(2);
+  pool.push(0, 15);
+  EXPECT_EQ(&pool.front(0), a);
+  pool.push(0, 16);  // then the slot popped before the clear
+  pool.pop(0);
+  EXPECT_EQ(&pool.front(0), c);
+  EXPECT_EQ(pool.slots(), 3u);
+}
+
+void write_local_flow(ckpt::Writer& w, const LocalFlow& f) {
+  w.i64(f.id);
+  w.i32(f.dst_node);
+  w.i32(f.src_server);
+  w.i32(f.dst_server);
+  w.i64(f.size.in_bytes());
+  w.i64(f.arrival.picoseconds());
+  w.i64(f.total_cells);
+  w.i64(f.moved_cells);
+}
+
+template <typename T, typename Put>
+void write_queues(ckpt::Writer& w, const std::vector<std::deque<T>>& qs,
+                  Put&& put) {
+  w.u64(qs.size());
+  for (const auto& q : qs) {
+    w.u64(q.size());
+    for (const T& v : q) put(w, v);
+  }
+}
+
+TEST(Node, CheckpointBytesMatchDequeReferences) {
+  // Scripted queue traffic on every peer, checkpointed and compared byte
+  // for byte against the same sequence kept on std::deque references in
+  // the checkpoint layout the pools replaced; then restored into a fresh
+  // node, which must write the same bytes and pop in the same order.
+  constexpr std::size_t kPeers = 8;  // cc_cfg()'s node count
+  Node n(0, cc_cfg(), kCell);
+  std::vector<LocalFlow> local;
+  std::vector<std::deque<std::uint32_t>> per_dst(kPeers);
+  std::vector<std::deque<std::uint32_t>> spray(1);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const LocalFlow f = flow(i, i == 2 ? 5 : 3, DataSize::bytes(562 * 4),
+                             Time::zero());
+    n.add_flow(f);
+    local.push_back(f);
+    per_dst[static_cast<std::size_t>(f.dst_node)].push_back(i);
+    spray[0].push_back(i);
+  }
+  // A grant towards 3 serves flow 0 and rotates it behind flow 1.
+  ASSERT_EQ(n.take_cell_for(3, Time::us(10), kInject).value().flow, 0);
+  ++local[0].moved_cells;
+  per_dst[3].push_back(per_dst[3].front());
+  per_dst[3].pop_front();
+
+  std::vector<std::deque<Cell>> vq(kPeers), fq(kPeers), retx(kPeers);
+  std::int64_t cells = 0;
+  std::int64_t peak = 0;
+  const auto added = [&] { peak = std::max(peak, ++cells); };
+  Rng rng(5);
+  std::int32_t next = 0;
+  for (int step = 0; step < 600; ++step) {
+    const auto p = static_cast<NodeId>(rng.below(kPeers));
+    const auto d = static_cast<std::size_t>(p);
+    Cell c = cell_no(next++);
+    switch (rng.below(6)) {
+      case 0:
+        n.push_vq(p, c);
+        vq[d].push_back(c);
+        added();
+        break;
+      case 1:
+        c.dst_node = p;
+        n.push_fq(p, c);
+        fq[d].push_back(c);
+        added();
+        break;
+      case 2:
+        c.dst_node = p;
+        n.push_retx(c);
+        retx[d].push_back(c);
+        added();
+        break;
+      case 3: {
+        const auto got = n.pop_vq(p);
+        ASSERT_EQ(got.has_value(), !vq[d].empty());
+        if (!got) break;
+        ASSERT_EQ(got->flow, vq[d].front().flow);
+        vq[d].pop_front();
+        --cells;
+        break;
+      }
+      case 4: {
+        const auto got = n.pop_fq(p);
+        ASSERT_EQ(got.has_value(), !fq[d].empty());
+        if (!got) break;
+        ASSERT_EQ(got->flow, fq[d].front().flow);
+        fq[d].pop_front();
+        --cells;
+        break;
+      }
+      default:
+        if (retx[d].empty()) break;
+        // A grant serves the retransmission queue before LOCAL.
+        ASSERT_EQ(n.take_cell_for(p, Time::us(10), kInject).value().flow,
+                  retx[d].front().flow);
+        retx[d].pop_front();
+        --cells;
+        break;
+    }
+    if (step == 300) {
+      // Purging a destination rotates every VQ past the cells it keeps.
+      std::int64_t dropped = 0;
+      for (auto& q : vq) {
+        for (auto it = q.begin(); it != q.end();) {
+          if (it->dst_node == 4) {
+            it = q.erase(it);
+            ++dropped;
+          } else {
+            ++it;
+          }
+        }
+      }
+      dropped += static_cast<std::int64_t>(fq[4].size() + retx[4].size());
+      fq[4].clear();
+      retx[4].clear();
+      cells -= dropped;
+      ASSERT_EQ(n.purge_dst(4, nullptr), dropped);
+    }
+  }
+
+  std::int64_t retx_cells = 0;
+  for (const auto& q : retx) retx_cells += static_cast<std::int64_t>(q.size());
+  ckpt::Writer want;
+  n.cc().serialize(want);
+  want.u64(local.size());
+  for (const LocalFlow& f : local) write_local_flow(want, f);
+  const auto put_index = [](ckpt::Writer& w, std::uint32_t i) { w.u64(i); };
+  write_queues(want, per_dst, put_index);
+  want.u64(0);  // first unfinished flow
+  want.i64(3);  // unfinished flows
+  want.u64(spray[0].size());
+  for (const std::uint32_t i : spray[0]) want.u64(i);
+  write_queues(want, vq, write_cell);
+  write_queues(want, fq, write_cell);
+  write_queues(want, retx, write_cell);
+  want.i64(retx_cells);
+  want.i64(562 * cells);
+  want.i64(562 * peak);
+
+  ckpt::Writer got;
+  n.serialize(got);
+  ASSERT_EQ(got.data(), want.data());
+
+  Node back(0, cc_cfg(), kCell);
+  ckpt::Reader r(got.data());
+  ASSERT_TRUE(back.restore(r)) << r.error();
+  ckpt::Writer again;
+  back.serialize(again);
+  EXPECT_EQ(again.data(), want.data());
+  for (std::size_t d = 0; d < kPeers; ++d) {
+    for (const Cell& c : vq[d]) {
+      ASSERT_EQ(back.pop_vq(static_cast<NodeId>(d)).value().flow, c.flow);
+    }
+    EXPECT_FALSE(back.pop_vq(static_cast<NodeId>(d)).has_value());
+  }
+}
+
+TEST(Node, RestoreRejectsLocalStateThatDisagreesWithItsFlows) {
+  // The last cell's payload comes from total_cells, and the FIFO cursor and
+  // unfinished count are derived from the flows, so a snapshot in which
+  // either disagrees with the flows is malformed.
+  Node n(0, cc_cfg(), kCell);
+  n.add_flow(flow(0, 3, DataSize::bytes(1'000), Time::zero()));
+  ckpt::Writer cc;
+  n.cc().serialize(cc);
+  ckpt::Writer w;
+  n.serialize(w);
+  const std::string bytes = w.data();
+  // total_cells sits after the flow count and six fields of the one flow;
+  // the cursor after the flow and the eight per-destination lists, the
+  // fourth of which holds the flow.
+  const std::size_t total_cells_at = cc.data().size() + 8 + 8 + 3 * 4 + 8 + 8;
+  const std::size_t cursor_at = cc.data().size() + 8 + 56 + 8 + 8 * 8 + 8;
+  const auto rejects = [&bytes](std::size_t at, unsigned char was,
+                                unsigned char now) {
+    EXPECT_EQ(static_cast<unsigned char>(bytes[at]), was);
+    std::string bad = bytes;
+    bad[at] = static_cast<char>(now);
+    Node back(0, cc_cfg(), kCell);
+    ckpt::Reader r(bad);
+    EXPECT_FALSE(back.restore(r));
+    return r.error();
+  };
+  EXPECT_NE(rejects(total_cells_at, 2, 3).find("LOCAL flow state"),
+            std::string::npos);
+  EXPECT_NE(rejects(cursor_at, 0, 1).find("LOCAL cursor"), std::string::npos);
+  Node back(0, cc_cfg(), kCell);
+  ckpt::Reader r(bytes);
+  EXPECT_TRUE(back.restore(r)) << r.error();
 }
 
 TEST(Node, OccupancyTracksForwardAndVirtualQueues) {
@@ -150,9 +380,13 @@ TEST(CellMath, CellsForAndPayload) {
   EXPECT_EQ(cells_for(DataSize::bytes(563), kCell), 2);
   EXPECT_EQ(cells_for(DataSize::kilobytes(100), kCell), 178);
   // Last cell carries the remainder.
-  EXPECT_EQ(payload_of(DataSize::bytes(1'000), kCell, 0), 562);
-  EXPECT_EQ(payload_of(DataSize::bytes(1'000), kCell, 1), 438);
-  EXPECT_EQ(payload_of(DataSize::bytes(46), kCell, 0), 46);
+  Node n(0, cc_cfg(), kCell);
+  n.add_flow(flow(0, 3, DataSize::bytes(1'000), Time::zero()));
+  n.add_flow(flow(1, 5, DataSize::bytes(46), Time::zero()));
+  const Time late = Time::us(1);
+  EXPECT_EQ(n.take_cell_for(3, late, kInject).value().payload_bytes, 562);
+  EXPECT_EQ(n.take_cell_for(3, late, kInject).value().payload_bytes, 438);
+  EXPECT_EQ(n.take_cell_for(5, late, kInject).value().payload_bytes, 46);
 }
 
 TEST(LocalFlowPacing, CellsReleaseAtLineRate) {
