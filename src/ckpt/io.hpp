@@ -236,6 +236,14 @@ class Reader {
     pos_ += out.size() * sizeof(std::uint64_t);
     return true;
   }
+  /// The next `n` bytes, undecoded, for a caller that decodes a run of
+  /// fixed-width records itself (detail::load_le); empty on failure.
+  [[nodiscard]] std::string_view raw_bytes(std::size_t n, const char* what) {
+    if (!need(n, what)) return {};
+    const std::string_view v = data_.substr(pos_, n);
+    pos_ += n;
+    return v;
+  }
   [[nodiscard]] std::vector<std::int64_t> vec_i64(const char* what) {
     return read_vec<std::int64_t, std::uint64_t>(what, [](std::uint64_t x) {
       return static_cast<std::int64_t>(x);

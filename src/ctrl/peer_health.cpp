@@ -1,6 +1,7 @@
 #include "ctrl/peer_health.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/invariant.hpp"
 
@@ -65,7 +66,9 @@ MembershipView::MembershipView(std::int32_t racks, NodeId owner,
     : racks_(racks),
       owner_(owner),
       quorum_(quorum),
-      links_(static_cast<std::size_t>(racks) * static_cast<std::size_t>(racks)),
+      versions_(static_cast<std::size_t>(racks) *
+                static_cast<std::size_t>(racks)),
+      down_((versions_.size() + 63) / 64, 0),
       down_votes_(static_cast<std::size_t>(racks), 0),
       merged_rev_(static_cast<std::size_t>(racks), 0) {
   SIRIUS_INVARIANT(racks >= 2, "MembershipView needs >= 2 racks, got %d",
@@ -76,39 +79,70 @@ MembershipView::MembershipView(std::int32_t racks, NodeId owner,
                    "MembershipView quorum %d outside [1, %d)", quorum, racks);
 }
 
+void MembershipView::set_down(std::size_t i, bool down) {
+  if (down_at(i) == down) return;
+  down_[i / 64] ^= std::uint64_t{1} << (i % 64);
+  downs_ += down ? 1 : -1;
+}
+
+void MembershipView::recount() {
+  std::fill(down_votes_.begin(), down_votes_.end(), 0);
+  downs_ = 0;
+  const auto racks = static_cast<std::size_t>(racks_);
+  for (std::size_t w = 0; w < down_.size(); ++w) {
+    for (std::uint64_t bits = down_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits));
+      ++down_votes_[i % racks];
+      ++downs_;
+    }
+  }
+}
+
 void MembershipView::report_link(NodeId peer, bool down) {
   SIRIUS_INVARIANT(peer >= 0 && peer < racks_,
                    "link report about peer %d outside [0, %d)", peer, racks_);
   if (peer < 0 || peer >= racks_) return;
-  LinkState& cell = links_[idx(owner_, peer)];
-  if ((cell.down != 0) == down) return;
-  cell.down = down ? 1 : 0;
-  ++cell.version;
+  const std::size_t i = idx(owner_, peer);
+  if (down_at(i) == down) return;
+  set_down(i, down);
+  ++versions_[i];
   down_votes_[static_cast<std::size_t>(peer)] += down ? 1 : -1;
   ++revision_;
 }
 
-bool MembershipView::merge_from(const MembershipView& other) {
+bool MembershipView::merge_from(const MembershipView& other,
+                                std::int64_t* rows_walked) {
   SIRIUS_INVARIANT(other.racks_ == racks_,
                    "merging views of different fabrics (%d vs %d racks)",
                    other.racks_, racks_);
   if (other.racks_ != racks_) return false;
   const auto from = static_cast<std::size_t>(other.owner_);
   if (merged_rev_[from] == other.revision_) return false;  // nothing new
+  const auto racks = static_cast<std::size_t>(racks_);
   bool changed = false;
   for (NodeId obs = 0; obs < racks_; ++obs) {
     if (obs == owner_) continue;  // sole writer of our own row
-    for (NodeId peer = 0; peer < racks_; ++peer) {
-      const LinkState& theirs = other.links_[idx(obs, peer)];
-      LinkState& ours = links_[idx(obs, peer)];
-      if (theirs.version <= ours.version) continue;
-      if (theirs.down != ours.down) {
-        down_votes_[static_cast<std::size_t>(peer)] +=
-            theirs.down != 0 ? 1 : -1;
-      }
-      ours = theirs;
-      changed = true;
+    const std::size_t row = idx(obs, 0);
+    const std::uint32_t* theirs = other.versions_.data() + row;
+    std::uint32_t* ours = versions_.data() + row;
+    // Most rows hold nothing newer: find out in one branch-free pass.
+    std::uint32_t newer = 0;
+    for (std::size_t p = 0; p < racks; ++p) {
+      newer |= theirs[p] > ours[p] ? 1u : 0u;
     }
+    if (newer == 0) continue;
+    if (rows_walked != nullptr) ++*rows_walked;
+    for (std::size_t p = 0; p < racks; ++p) {
+      if (theirs[p] <= ours[p]) continue;
+      const bool down = other.down_at(row + p);
+      if (down != down_at(row + p)) {
+        down_votes_[p] += down ? 1 : -1;
+        set_down(row + p, down);
+      }
+      ours[p] = theirs[p];
+    }
+    changed = true;
   }
   merged_rev_[from] = other.revision_;
   if (changed) ++revision_;
@@ -119,14 +153,14 @@ bool MembershipView::link_down(NodeId observer, NodeId peer) const {
   if (observer < 0 || observer >= racks_ || peer < 0 || peer >= racks_) {
     return false;
   }
-  return links_[idx(observer, peer)].down != 0;
+  return down_at(idx(observer, peer));
 }
 
 bool MembershipView::node_down(NodeId node) const {
   if (node < 0 || node >= racks_) return false;
   std::int32_t votes = down_votes_[static_cast<std::size_t>(node)];
   // A node's opinion of its own inbound links is not a vote against it.
-  if (links_[idx(node, node)].down != 0) --votes;
+  if (down_at(idx(node, node))) --votes;
   return votes >= quorum_;
 }
 
@@ -143,21 +177,13 @@ void MembershipView::admit(NodeId node) {
                    "admit of node %d outside [0, %d)", node, racks_);
   if (node < 0 || node >= racks_) return;
   for (NodeId other = 0; other < racks_; ++other) {
+    // (node, node) sits on both lines and is bumped twice.
     for (const std::size_t i : {idx(other, node), idx(node, other)}) {
-      LinkState& cell = links_[i];
-      cell.down = 0;
-      ++cell.version;  // stale piggybacked copies must lose future merges
+      set_down(i, false);
+      ++versions_[i];  // stale piggybacked copies must lose future merges
     }
   }
-  // Rebuild the vote tally from scratch; admit touched two full lines.
-  std::fill(down_votes_.begin(), down_votes_.end(), 0);
-  for (NodeId obs = 0; obs < racks_; ++obs) {
-    for (NodeId peer = 0; peer < racks_; ++peer) {
-      if (links_[idx(obs, peer)].down != 0) {
-        ++down_votes_[static_cast<std::size_t>(peer)];
-      }
-    }
-  }
+  recount();
   ++revision_;
 }
 
@@ -200,10 +226,10 @@ void MembershipView::serialize(ckpt::Writer& w) const {
   w.i32(owner_);
   w.i32(quorum_);
   w.u64(revision_);
-  w.u64(links_.size());
-  for (const LinkState& cell : links_) {
-    w.u32(cell.version);
-    w.u8(cell.down);
+  w.u64(versions_.size());
+  for (std::size_t i = 0; i < versions_.size(); ++i) {
+    w.u32(versions_[i]);
+    w.u8(down_at(i) ? 1 : 0);
   }
   w.vec_i32(down_votes_);
   w.vec_u64(merged_rev_);
@@ -215,18 +241,10 @@ bool MembershipView::restore(ckpt::Reader& r) {
   const std::int32_t quorum = r.i32();
   const std::uint64_t revision = r.u64();
   const std::size_t n_links = r.count(5, "membership link matrix");
-  std::vector<LinkState> links(n_links);
-  for (LinkState& cell : links) {
-    cell.version = r.u32();
-    cell.down = r.u8();
-  }
-  auto down_votes = r.vec_i32("membership down votes");
-  auto merged_rev = r.vec_u64("membership merge cursors");
   if (!r.ok()) return false;
   const auto racks_sz = static_cast<std::size_t>(racks > 0 ? racks : 0);
   if (racks < 1 || owner < 0 || owner >= racks || quorum < 1 ||
-      revision == 0 || links.size() != racks_sz * racks_sz ||
-      down_votes.size() != racks_sz || merged_rev.size() != racks_sz) {
+      revision == 0 || n_links != racks_sz * racks_sz) {
     r.fail("membership view geometry out of range");
     return false;
   }
@@ -234,9 +252,36 @@ bool MembershipView::restore(ckpt::Reader& r) {
   owner_ = owner;
   quorum_ = quorum;
   revision_ = revision;
-  links_ = std::move(links);
-  down_votes_ = std::move(down_votes);
-  merged_rev_ = std::move(merged_rev);
+  // count() has checked that the 5-byte entries are all there.
+  const std::string_view links = r.raw_bytes(n_links * 5, "membership links");
+  if (!r.ok()) return false;
+  versions_.resize(n_links);
+  down_.assign((n_links + 63) / 64, 0);
+  std::uint8_t verdicts = 0;  // OR of every verdict byte
+  for (std::size_t i = 0; i < n_links; ++i) {
+    const char* entry = links.data() + i * 5;
+    versions_[i] = ckpt::detail::load_le<std::uint32_t>(entry);
+    const auto verdict = static_cast<std::uint8_t>(entry[4]);
+    verdicts |= verdict;
+    down_[i / 64] |= std::uint64_t{verdict & 1u} << (i % 64);
+  }
+  if (verdicts > 1) {
+    r.fail("membership link verdict is neither 0 nor 1");
+    return false;
+  }
+  const auto down_votes = r.vec_i32("membership down votes");
+  merged_rev_ = r.vec_u64("membership merge cursors");
+  if (!r.ok()) return false;
+  if (down_votes.size() != racks_sz || merged_rev_.size() != racks_sz) {
+    r.fail("membership view geometry out of range");
+    return false;
+  }
+  down_votes_.resize(racks_sz);
+  recount();
+  if (down_votes != down_votes_) {
+    r.fail("membership vote tally disagrees with the link verdicts");
+    return false;
+  }
   return true;
 }
 

@@ -90,11 +90,19 @@ class MembershipView {
 
   /// Folds another node's view into this one: for every directed link the
   /// higher version wins. Returns true when anything changed. O(1) when
-  /// `other` has not changed since the last merge from the same owner.
-  bool merge_from(const MembershipView& other);
+  /// `other` has not changed since the last merge from the same owner;
+  /// otherwise one branch-free version compare per row, and an entry walk
+  /// only in the rows where `other` holds a newer version. Each row walked
+  /// adds one to `*rows_walked` if it is non-null.
+  bool merge_from(const MembershipView& other,
+                  std::int64_t* rows_walked = nullptr);
 
   /// The owner's verdict about the link peer -> owner, as last reported.
   [[nodiscard]] bool link_down(NodeId observer, NodeId peer) const;
+
+  /// Does any observer currently report any link lost? When not, no
+  /// link_down() and no node_down() query can answer true.
+  [[nodiscard]] bool any_link_down() const { return downs_ != 0; }
 
   /// Quorum-derived node status: down when at least `quorum` observers
   /// (excluding the node itself) currently report its transmissions lost.
@@ -121,26 +129,33 @@ class MembershipView {
 
   /// Checkpoint: the full versioned opinion matrix, vote tallies and
   /// merge short-circuit cursors (revisions included — they decide future
-  /// merge outcomes, so they must survive a restore bit-exactly).
+  /// merge outcomes, so they must survive a restore bit-exactly). Each
+  /// entry is a u32 version then a u8 verdict; restore rejects a verdict
+  /// other than 0 or 1 and a vote tally that disagrees with the verdicts.
   void serialize(ckpt::Writer& w) const;
   bool restore(ckpt::Reader& r);
 
  private:
-  struct LinkState {
-    std::uint32_t version = 0;
-    std::uint8_t down = 0;
-  };
-
   [[nodiscard]] std::size_t idx(NodeId observer, NodeId peer) const {
     return static_cast<std::size_t>(observer) * static_cast<std::size_t>(racks_) +
            static_cast<std::size_t>(peer);
   }
+  [[nodiscard]] bool down_at(std::size_t i) const {
+    return ((down_[i / 64] >> (i % 64)) & 1u) != 0;
+  }
+  void set_down(std::size_t i, bool down);
+  /// Recounts down_votes_ and downs_ from the verdict bits.
+  void recount();
 
   std::int32_t racks_;
   NodeId owner_;
   std::int32_t quorum_;
   std::uint64_t revision_ = 1;
-  std::vector<LinkState> links_;           // observer-major matrix
+  // Observer-major racks x racks matrices: each entry's version, and its
+  // verdict as one bit (set = the observer reports the link lost).
+  std::vector<std::uint32_t> versions_;
+  std::vector<std::uint64_t> down_;
+  std::int64_t downs_ = 0;                 // bits set in down_
   std::vector<std::int32_t> down_votes_;   // per node: observers convicting it
   std::vector<std::uint64_t> merged_rev_;  // last revision merged, per owner
 };

@@ -115,6 +115,10 @@ class PooledQueues {
     free_ = kNil;
   }
 
+  /// Makes room for `n` slots, so refilling the pool after reset() grows
+  /// its storage at most once.
+  void reserve(std::size_t n) { slots_.reserve(n); }
+
  private:
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();

@@ -72,6 +72,16 @@ std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+// The first round boundary at or after `slot`, for a schedule whose rounds
+// of `spr` slots started at `base_slot` with round `base_round`. A run
+// resuming at `slot` fires that round's retransmission timers first (a
+// checkpoint precedes its slot's round work).
+std::int64_t first_round_from(std::int64_t slot, std::int64_t base_slot,
+                              std::int64_t base_round, std::int64_t spr) {
+  const std::int64_t rel = slot - base_slot;
+  return base_round + rel / spr + (rel % spr != 0 ? 1 : 0);
+}
+
 }  // namespace
 
 bool SiriusSim::timer_later(const RetxTimer& a, const RetxTimer& b) {
@@ -159,6 +169,13 @@ SiriusSim::SiriusSim(SiriusSimConfig cfg, const workload::Workload& workload)
       views_.emplace_back(cfg_.racks, n, quorum_);
     }
     truth_down_.assign(static_cast<std::size_t>(cfg_.racks), 0);
+    // Flight rounds never exceed prop_slots_ (a round has at least one
+    // slot), so no schedule's retx_timeout_rounds() reaches the span.
+    retx_span_ = 3 * prop_slots_ + cfg_.queue_limit + kMissThreshold + 7;
+    retx_wheel_ = node::PooledQueues<RetxTimer>(
+        static_cast<std::size_t>(retx_span_));
+    synced_revision_.assign(static_cast<std::size_t>(cfg_.racks), 0);
+    synced_generation_.assign(static_cast<std::size_t>(cfg_.racks), 0);
     for (const NodeId f : down0) {
       truth_down_[static_cast<std::size_t>(f)] = 1;
     }
@@ -239,7 +256,7 @@ void SiriusSim::update_gauges() {
     denied += n.cc().stat_denied_queue_bound();
   }
   g_queue_worst_kb_->set(worst_kb);
-  g_retx_pending_->set(static_cast<double>(retx_heap_.size()));
+  g_retx_pending_->set(static_cast<double>(retx_pending_));
   g_members_->set(static_cast<double>(sched_.nodes()));
   g_requests_received_->set(static_cast<double>(req_rx));
   g_grants_issued_->set(static_cast<double>(grants));
@@ -509,8 +526,11 @@ void SiriusSim::epoch_boundary(std::int64_t round, Time now) {
     const auto vq_has_room = [&src](NodeId i) {
       return src.vq_depth(i) < kMaxVqDepth;
     };
-    const auto relay_ok = [this, s](NodeId inter, NodeId dst) {
-      if (!faults_active_) return true;
+    // A view with no lost link vetoes nothing.
+    const bool may_veto =
+        faults_active_ && views_[static_cast<std::size_t>(s)].any_link_down();
+    const auto relay_ok = [this, s, may_veto](NodeId inter, NodeId dst) {
+      if (!may_veto) return true;
       const auto& view = views_[static_cast<std::size_t>(s)];
       // Veto a relay whose link towards dst is reported lost (the cell
       // would blackhole on the second hop), and one this source cannot
@@ -606,7 +626,7 @@ bool SiriusSim::observe_burst(NodeId src, NodeId dst, std::int64_t round,
     health_[static_cast<std::size_t>(dst)].record_hit(src);
     if (view.link_down(dst, src)) view.report_link(src, false);
     // Every heard burst piggybacks the transmitter's membership view.
-    view.merge_from(views_[static_cast<std::size_t>(src)]);
+    view.merge_from(views_[static_cast<std::size_t>(src)], &view_rows_merged_);
   }
   return lost;
 }
@@ -627,6 +647,8 @@ void SiriusSim::transmit_slot(std::int64_t slot, Time now) {
   // grey-loss draws come from fault_rng_).
   const bool skip_idle =
       cfg_.routing == RoutingMode::kValiant && !faults_active_;
+  const std::int64_t retx_deadline =
+      faults_active_ ? round + retx_timeout_rounds() : 0;
   for (NodeId s = 0; s < cfg_.racks; ++s, peers += uplinks) {
     auto& n = nodes_[static_cast<std::size_t>(s)];
     for (UplinkId u = 0; u < uplinks; ++u) {
@@ -686,7 +708,7 @@ void SiriusSim::transmit_slot(std::int64_t slot, Time now) {
         // legitimately starve in the virtual queue behind prioritised
         // relay traffic for an unbounded, load-dependent time, and the
         // source would never retransmit a cell it still holds anyway.
-        if (faults_active_) arm_retx_timer(*cell, s, round);
+        if (faults_active_) arm_retx_timer(*cell, s, retx_deadline);
         // The granted cell is now on the wire towards intermediate p with a
         // deterministic arrival slot, so p's grant accounting can release
         // the outstanding slot immediately (the schedule guarantees p will
@@ -716,19 +738,40 @@ void SiriusSim::transmit_slot(std::int64_t slot, Time now) {
 }
 
 void SiriusSim::arm_retx_timer(const node::Cell& cell, NodeId src,
-                               std::int64_t round) {
-  // Loss-recovery path only (a timer per lost cell), not the clean
-  // slot path. sirius-lint: allow(hot-path-alloc)
-  retx_heap_.push_back(RetxTimer{round + retx_timeout_rounds(), cell, src});
-  std::push_heap(retx_heap_.begin(), retx_heap_.end(), &SiriusSim::timer_later);
+                               std::int64_t deadline_round) {
+  // Every first-hop transmission of a dynamic-plan run arms one; the
+  // wheel's pool reuses the slots its fired timers freed.
+  retx_wheel_.push(retx_list(deadline_round),
+                   RetxTimer{deadline_round, cell, src});
+  ++retx_pending_;
 }
 
 void SiriusSim::expire_retx_timers(std::int64_t round, Time now) {
-  while (!retx_heap_.empty() && retx_heap_.front().deadline_round <= round) {
-    std::pop_heap(retx_heap_.begin(), retx_heap_.end(),
-                  &SiriusSim::timer_later);
-    const RetxTimer t = retx_heap_.back();
-    retx_heap_.pop_back();
+  // Every timer in this round's list is due now. Most cells arrived: keep
+  // only the missing ones, then fire those in (flow, seq) order — the
+  // deadline is common to all of them.
+  const std::size_t list = retx_list(round);
+  retx_due_.clear();
+  retx_wheel_.for_each(list, [this, round](const RetxTimer& t) {
+    SIRIUS_INVARIANT(t.deadline_round == round,
+                     "retransmission timer due in round %lld found in round "
+                     "%lld's wheel list",
+                     static_cast<long long>(t.deadline_round),
+                     static_cast<long long>(round));
+    const RxFlow* rx = rx_of(t.cell.flow);
+    if (rx != nullptr && !rx->aborted && !rx->reorder.complete() &&
+        !rx->reorder.received(pending_of(*rx), t.cell.seq)) {
+      retx_due_.push_back(t);
+    }
+  });
+  retx_pending_ -= static_cast<std::int64_t>(retx_wheel_.size(list));
+  retx_wheel_.clear(list);
+  std::sort(retx_due_.begin(), retx_due_.end(),
+            [](const RetxTimer& a, const RetxTimer& b) {
+              return timer_later(b, a);
+            });
+  for (const RetxTimer& t : retx_due_) {
+    // Checked again: firing an earlier timer can abort this one's flow.
     const RxFlow* rx = rx_of(t.cell.flow);
     if (rx == nullptr || rx->aborted || rx->reorder.complete() ||
         rx->reorder.received(pending_of(*rx), t.cell.seq)) {
@@ -846,6 +889,7 @@ void SiriusSim::swap_schedule(std::vector<NodeId> members, std::int64_t round,
       static_cast<std::int32_t>((prop_slots_ + sched_.slots_per_round() - 1) /
                                 sched_.slots_per_round()));
   c_swaps_->inc();
+  ++generation_;  // membership moved: every node re-syncs its exclusions
 }
 
 void SiriusSim::rejoin_rack(NodeId rack, std::int64_t slot,
@@ -928,7 +972,16 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
     if (truth_down_[static_cast<std::size_t>(n)] != 0 || !sched_.is_member(n)) {
       continue;
     }
+    // A sync leaves n's exclusions agreeing with its view; they can only
+    // disagree again once the view or the membership has changed.
+    const auto i = static_cast<std::size_t>(n);
+    if (synced_revision_[i] == views_[i].revision() &&
+        synced_generation_[i] == generation_) {
+      continue;
+    }
     sync_exclusions(n, now);
+    synced_revision_[i] = views_[i].revision();
+    synced_generation_[i] = generation_;
   }
 
   // 3b. Dissemination latency: the first mid-run rack fault counts as
@@ -1142,6 +1195,7 @@ SiriusSimResult SiriusSim::run() {
   for (const node::Node& n : nodes_) {
     r.work.queue_slots += static_cast<std::int64_t>(n.queue_slots());
   }
+  r.work.view_rows_merged = view_rows_merged_;
   return r;
 }
 
@@ -1259,10 +1313,26 @@ void SiriusSim::serialize_state(ckpt::Writer& w) const {
     w.u64(views_.size());
     for (const ctrl::MembershipView& v : views_) v.serialize(w);
     w.vec_u8(truth_down_);
-    // The live min-heap's array order, verbatim: the run is deterministic,
-    // so restoring it byte-for-byte keeps later pop order bit-identical.
-    w.u64(retx_heap_.size());
-    for (const RetxTimer& t : retx_heap_) {
+    // The timers in firing order, ascending (deadline, flow, seq): the
+    // wheel's lists from the next round to fire on, each list (one
+    // deadline) sorted. A sorted array is also a valid min-heap under
+    // timer_later, the layout files written before the timer wheel hold,
+    // so one reader takes both.
+    const std::int64_t first = first_round_from(
+        slot_, round_base_slot_, rounds_base_, sched_.slots_per_round());
+    std::vector<RetxTimer> timers;
+    timers.reserve(static_cast<std::size_t>(retx_pending_));
+    for (std::int64_t d = first; d < first + retx_span_; ++d) {
+      const auto from = static_cast<std::ptrdiff_t>(timers.size());
+      retx_wheel_.for_each(
+          retx_list(d), [&timers](const RetxTimer& t) { timers.push_back(t); });
+      std::sort(timers.begin() + from, timers.end(),
+                [](const RetxTimer& a, const RetxTimer& b) {
+                  return timer_later(b, a);
+                });
+    }
+    w.u64(timers.size());
+    for (const RetxTimer& t : timers) {
       w.i64(t.deadline_round);
       node::put_cell(w, t.cell);
       w.i32(t.src);
@@ -1445,7 +1515,7 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
   const std::int32_t audit_flight = r.i32();
   if (r.ok() &&
       (round_base_slot < 0 || round_base_slot > slot || rounds_base < 0 ||
-       audit_flight < 1)) {
+       rounds_base > round_base_slot || audit_flight < 1)) {
     r.fail("schedule swap base out of range");
   }
   if (!r.ok()) return false;
@@ -1582,8 +1652,14 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
       r.fail("membership view count does not match this run's rack count");
       return false;
     }
-    for (ctrl::MembershipView& v : views_) {
+    for (std::size_t n = 0; n < views_.size(); ++n) {
+      ctrl::MembershipView& v = views_[n];
       if (!v.restore(r)) return false;
+      if (v.racks() != cfg_.racks || v.owner() != static_cast<NodeId>(n) ||
+          v.quorum() != quorum_) {
+        r.fail("membership view does not match this run's racks and quorum");
+        return false;
+      }
     }
     {
       std::vector<std::uint8_t> down = r.vec_u8("ground-truth rack status");
@@ -1597,28 +1673,49 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
     const std::size_t timers =
         r.count(8 + node::kCellBytes + 4, "retransmission timers");
     if (!r.ok()) return false;
-    retx_heap_.clear();
-    retx_heap_.reserve(timers);
-    for (std::size_t i = 0; i < timers; ++i) {
-      RetxTimer t;
+    // Every live timer is due within one span of the first round the
+    // resumed run processes.
+    const std::int64_t next_round = first_round_from(
+        slot, round_base_slot, rounds_base, sched_.slots_per_round());
+    std::vector<RetxTimer> restored(timers);
+    for (RetxTimer& t : restored) {
       t.deadline_round = r.i64();
       t.cell = node::get_cell(r);
       t.src = r.i32();
-      if (!r.ok()) return false;
+    }
+    if (!r.ok()) return false;
+    for (const RetxTimer& t : restored) {
       if (t.src < 0 || t.src >= cfg_.racks) {
         r.fail("retransmission timer source outside the rack range");
         return false;
       }
-      retx_heap_.push_back(t);
+      // Expiry indexes the flow's receive record and the destination's
+      // retransmission queue.
+      if (t.cell.flow < 0 ||
+          static_cast<std::uint64_t>(t.cell.flow) >= rx_index_.size() ||
+          t.cell.dst_node < 0 || t.cell.dst_node >= cfg_.racks) {
+        r.fail("retransmission timer for a cell outside the workload");
+        return false;
+      }
+      if (t.deadline_round < next_round ||
+          t.deadline_round - next_round >= retx_span_) {
+        r.fail("retransmission timer deadline outside the timer wheel");
+        return false;
+      }
     }
-    // A genuine checkpoint serialized a live heap array; verify instead of
-    // re-heapifying (make_heap could reorder equivalent layouts and break
-    // bit-identical resumption).
-    if (!std::is_heap(retx_heap_.begin(), retx_heap_.end(),
+    // Files hold the timers in firing order (older files: a live heap
+    // array, of which a sorted array is one case); either is a min-heap.
+    if (!std::is_heap(restored.begin(), restored.end(),
                       &SiriusSim::timer_later)) {
       r.fail("retransmission timers are not in heap order");
       return false;
     }
+    retx_wheel_.reset();
+    retx_wheel_.reserve(timers);
+    for (const RetxTimer& t : restored) {
+      retx_wheel_.push(retx_list(t.deadline_round), t);
+    }
+    retx_pending_ = static_cast<std::int64_t>(timers);
     fault_round_ = r.i64();
     rack_fault_round_ = r.i64();
     detect_round_ = r.i64();
@@ -1642,6 +1739,7 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
   round_base_slot_ = round_base_slot;
   rounds_base_ = rounds_base;
   audit_flight_rounds_ = audit_flight;
+  ++generation_;  // every node re-syncs its exclusions against its view
   if (cfg_.checkpoint_every > Time::zero()) {
     // The smallest cadence multiple strictly after the restored slot's
     // start reproduces the straight run's sink cursor exactly (the sink

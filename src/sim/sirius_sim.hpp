@@ -37,6 +37,7 @@
 #include "ctrl/fault_plan.hpp"
 #include "ctrl/peer_health.hpp"
 #include "node/node.hpp"
+#include "node/pooled_queues.hpp"
 #include "node/reorder_buffer.hpp"
 #include "phy/slot_geometry.hpp"
 #include "sched/schedule.hpp"
@@ -179,6 +180,10 @@ struct WorkCounters {
   /// with peak occupancy, not with node pairs. A restored sim's pools start
   /// from the restored cells.
   std::int64_t queue_slots = 0;
+  /// Membership-view rows MembershipView::merge_from walked entry by entry
+  /// (rows where the piggybacked view held a newer verdict). Zero without a
+  /// dynamic fault plan.
+  std::int64_t view_rows_merged = 0;
 };
 
 struct SiriusSimResult {
@@ -269,10 +274,10 @@ class SiriusSim {
     node::Cell cell;
     NodeId src = 0;
   };
-  /// Min-heap order for retransmission timers. Ties are broken by
-  /// (flow, seq) so the resurrection order — which feeds back into the
-  /// request stream — is deterministic regardless of the standard
-  /// library's heap layout.
+  /// Firing order of retransmission timers: by deadline, ties broken by
+  /// (flow, seq), a key no two live timers share. The resurrection order
+  /// feeds back into the request stream, so it must not depend on how the
+  /// timers are stored.
   static bool timer_later(const RetxTimer& a, const RetxTimer& b);
 
   [[nodiscard]] NodeId rack_of(std::int32_t server) const {
@@ -332,9 +337,14 @@ class SiriusSim {
   void swap_schedule(std::vector<NodeId> members, std::int64_t round,
                      std::int64_t slot);
   void rejoin_rack(NodeId rack, std::int64_t slot, std::int64_t round);
-  void arm_retx_timer(const node::Cell& cell, NodeId src, std::int64_t round);
+  void arm_retx_timer(const node::Cell& cell, NodeId src,
+                      std::int64_t deadline_round);
   void abort_rx_flow(FlowId flow);
   [[nodiscard]] std::int32_t retx_timeout_rounds() const;
+  /// The timer wheel's list for timers due in `round`.
+  [[nodiscard]] std::size_t retx_list(std::int64_t round) const {
+    return static_cast<std::size_t>(round % retx_span_);
+  }
   [[nodiscard]] std::int64_t round_of_slot(std::int64_t slot) const {
     return rounds_base_ + (slot - round_base_slot_) / sched_.slots_per_round();
   }
@@ -444,8 +454,24 @@ class SiriusSim {
   std::vector<ctrl::MembershipView> views_;
   // ground-truth rack status
   std::vector<std::uint8_t> truth_down_;
-  // min-heap by deadline
-  std::vector<RetxTimer> retx_heap_;
+  // Retransmission timer wheel: a timer due in round r sits in list
+  // r % retx_span_. The span exceeds the longest timeout any schedule of
+  // the run can set, so every live timer in one list is due in the same
+  // round, and a round boundary reads only its own list.
+  node::PooledQueues<RetxTimer> retx_wheel_;
+  std::int64_t retx_span_ = 1;
+  std::int64_t retx_pending_ = 0;
+  // expire_retx_timers scratch: the due timers whose cell is still missing.
+  std::vector<RetxTimer> retx_due_;
+  // Change-keyed exclusion sync: per node, the view revision and the
+  // membership generation its last sync_exclusions saw. The generation
+  // bumps at every schedule swap, rejoin and restore. Derived, never
+  // serialized.
+  std::vector<std::uint64_t> synced_revision_;
+  std::vector<std::uint64_t> synced_generation_;
+  std::uint64_t generation_ = 1;
+  // WorkCounters::view_rows_merged; never serialized.
+  std::int64_t view_rows_merged_ = 0;
   // first slot of the current schedule
   std::int64_t round_base_slot_ = 0;
   // rounds completed before that slot

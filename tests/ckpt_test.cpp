@@ -13,6 +13,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/io.hpp"
 #include "common/time.hpp"
+#include "ctrl/peer_health.hpp"
 #include "node/node.hpp"
 #include "sim/sirius_sim.hpp"
 #include "telemetry/hub.hpp"
@@ -569,6 +570,93 @@ TEST(CkptDeterminism, ResumeAfterScheduleSwapIsBitIdentical) {
   EXPECT_EQ(rb.cells_delivered, ra.cells_delivered);
   EXPECT_EQ(rb.failover.schedule_swaps, ra.failover.schedule_swaps);
   EXPECT_EQ(rb.per_flow_completion, ra.per_flow_completion);
+}
+
+// The failover section of a CRC-valid snapshot can still hold an
+// impossible timer or view: a retransmission deadline the timer wheel
+// cannot hold (already past, or further out than any timeout), a timer for
+// a flow the workload does not have, or a link verdict byte other than 0
+// or 1. The cases patch a snapshot taken inside
+// the grey window, where timers are live, and re-frame it.
+TEST(CkptSim, CorruptionMatrixRejectsImpossibleFailoverState) {
+  auto cfg = faulted_net();
+  const auto w = make_wl(cfg, 0.5, 400);
+  std::string snap;
+  cfg.checkpoint_every = Time::us(125);
+  cfg.checkpoint_sink = [&snap](std::int64_t, Time, const std::string& p) {
+    if (snap.empty()) snap = p;
+  };
+  sim::SiriusSim(cfg, w).run();
+  cfg.checkpoint_sink = nullptr;
+  cfg.checkpoint_every = Time::zero();
+  ASSERT_FALSE(snap.empty());
+
+  // The failover section: per rack a detector and a view, whose encodings
+  // have a fixed size for a given rack count, then the ground-truth vector
+  // and the timer count.
+  const auto encoded_size = [](const auto& x) {
+    ckpt::Writer v;
+    x.serialize(v);
+    return v.data().size();
+  };
+  const auto racks = static_cast<std::size_t>(cfg.racks);
+  const std::size_t detector =
+      encoded_size(ctrl::PeerHealth(cfg.racks, sim::kMissThreshold));
+  const std::size_t view = encoded_size(ctrl::MembershipView(cfg.racks, 0, 2));
+  const std::size_t falo = snap.find("FALO");
+  ASSERT_NE(falo, std::string::npos);
+  const std::size_t first_view = falo + 4 + 8 + racks * detector + 8;
+  const std::size_t timer_count = first_view + racks * view + 8 + racks;
+  ckpt::Reader count(std::string_view(snap).substr(timer_count, 8));
+  ASSERT_GT(count.u64(), 0u) << "no live timer in the snapshot";
+  const std::size_t first_deadline = timer_count + 8;
+  ckpt::Reader at(std::string_view(snap).substr(first_deadline, 8));
+  const std::int64_t deadline = at.i64();
+
+  const auto patched = [&snap](std::size_t pos, const std::string& bytes) {
+    std::string p = snap;
+    p.replace(pos, bytes.size(), bytes);
+    return p;
+  };
+  const auto i64_bytes = [](std::int64_t x) {
+    ckpt::Writer v;
+    v.i64(x);
+    return std::string(v.data());
+  };
+  // View 0's first link entry: racks, owner, quorum, revision, link count,
+  // then the link's u32 version and u8 verdict.
+  const std::size_t first_verdict = first_view + 4 * 3 + 8 + 8 + 4;
+  ASSERT_LE(static_cast<unsigned char>(snap[first_verdict]), 1);
+
+  struct Case {
+    const char* what;
+    std::string payload;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"timer due far beyond the longest timeout",
+       patched(first_deadline, i64_bytes(deadline + 100'000)),
+       "outside the timer wheel"},
+      {"timer that should already have fired",
+       patched(first_deadline, i64_bytes(0)), "outside the timer wheel"},
+      {"timer for a flow the workload does not have",
+       patched(first_deadline + 8, i64_bytes(1'000'000)),
+       "outside the workload"},
+      {"link verdict byte of 2", patched(first_verdict, std::string(1, '\x02')),
+       "verdict"},
+  };
+  for (const Case& c : cases) {
+    const ckpt::LoadResult framed = ckpt::parse(ckpt::frame(c.payload));
+    ASSERT_TRUE(framed.ok()) << c.what << ": " << framed.message;
+    sim::SiriusSim target(cfg, w);
+    std::string error;
+    EXPECT_FALSE(target.restore_state(framed.payload, &error)) << c.what;
+    EXPECT_NE(error.find(c.expect), std::string::npos)
+        << c.what << ": " << error;
+  }
+  sim::SiriusSim ok(cfg, w);
+  std::string error;
+  EXPECT_TRUE(ok.restore_state(snap, &error)) << error;
 }
 
 TEST(CkptDeterminism, ForkReseedDivergesAndReproduces) {

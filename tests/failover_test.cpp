@@ -4,10 +4,17 @@
 // recovery, and rejoin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cc/request_grant.hpp"
+#include "ckpt/io.hpp"
 #include "common/invariant.hpp"
+#include "common/rng.hpp"
+#include "ctrl/peer_health.hpp"
 #include "sched/schedule.hpp"
 #include "sim/sirius_sim.hpp"
 #include "workload/generator.hpp"
@@ -350,6 +357,260 @@ TEST(MidRunFault, EmptyPlanIsBitIdenticalToBaseline) {
   EXPECT_EQ(plain.fct.short_fct_p99_ms, faultless.fct.short_fct_p99_ms);
   EXPECT_EQ(faultless.failover.cells_dropped, 0);
   EXPECT_EQ(faultless.failover.cells_retransmitted, 0);
+}
+
+// ---- MembershipView against a per-entry reference ---------------------------
+
+// The view as one {version, verdict} record per directed link, written out
+// the plain way: the behaviour the version matrix and verdict bits of
+// ctrl::MembershipView must reproduce, serialized bytes included.
+class ReferenceView {
+ public:
+  ReferenceView(std::int32_t racks, NodeId owner, std::int32_t quorum)
+      : racks_(racks),
+        owner_(owner),
+        quorum_(quorum),
+        links_(static_cast<std::size_t>(racks * racks)),
+        down_votes_(static_cast<std::size_t>(racks), 0),
+        merged_rev_(static_cast<std::size_t>(racks), 0) {}
+
+  void report_link(NodeId peer, bool down) {
+    LinkState& cell = links_[idx(owner_, peer)];
+    if ((cell.down != 0) == down) return;
+    cell.down = down ? 1 : 0;
+    ++cell.version;
+    down_votes_[static_cast<std::size_t>(peer)] += down ? 1 : -1;
+    ++revision_;
+  }
+
+  bool merge_from(const ReferenceView& other) {
+    const auto from = static_cast<std::size_t>(other.owner_);
+    if (merged_rev_[from] == other.revision_) return false;
+    bool changed = false;
+    for (NodeId obs = 0; obs < racks_; ++obs) {
+      if (obs == owner_) continue;
+      for (NodeId peer = 0; peer < racks_; ++peer) {
+        const LinkState& theirs = other.links_[idx(obs, peer)];
+        LinkState& ours = links_[idx(obs, peer)];
+        if (theirs.version <= ours.version) continue;
+        if (theirs.down != ours.down) {
+          down_votes_[static_cast<std::size_t>(peer)] +=
+              theirs.down != 0 ? 1 : -1;
+        }
+        ours = theirs;
+        changed = true;
+      }
+    }
+    merged_rev_[from] = other.revision_;
+    if (changed) ++revision_;
+    return changed;
+  }
+
+  [[nodiscard]] bool link_down(NodeId observer, NodeId peer) const {
+    return links_[idx(observer, peer)].down != 0;
+  }
+
+  [[nodiscard]] bool node_down(NodeId node) const {
+    std::int32_t votes = down_votes_[static_cast<std::size_t>(node)];
+    if (links_[idx(node, node)].down != 0) --votes;
+    return votes >= quorum_;
+  }
+
+  [[nodiscard]] std::vector<NodeId> down_set() const {
+    std::vector<NodeId> out;
+    for (NodeId n = 0; n < racks_; ++n) {
+      if (node_down(n)) out.push_back(n);
+    }
+    return out;
+  }
+
+  void admit(NodeId node) {
+    for (NodeId other = 0; other < racks_; ++other) {
+      for (const std::size_t i : {idx(other, node), idx(node, other)}) {
+        links_[i].down = 0;
+        ++links_[i].version;
+      }
+    }
+    std::fill(down_votes_.begin(), down_votes_.end(), 0);
+    for (NodeId obs = 0; obs < racks_; ++obs) {
+      for (NodeId peer = 0; peer < racks_; ++peer) {
+        if (links_[idx(obs, peer)].down != 0) {
+          ++down_votes_[static_cast<std::size_t>(peer)];
+        }
+      }
+    }
+    ++revision_;
+  }
+
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+
+  [[nodiscard]] std::string serialize() const {
+    ckpt::Writer w;
+    w.i32(racks_);
+    w.i32(owner_);
+    w.i32(quorum_);
+    w.u64(revision_);
+    w.u64(links_.size());
+    for (const LinkState& cell : links_) {
+      w.u32(cell.version);
+      w.u8(cell.down);
+    }
+    w.vec_i32(down_votes_);
+    w.vec_u64(merged_rev_);
+    return std::string(w.data());
+  }
+
+ private:
+  struct LinkState {
+    std::uint32_t version = 0;
+    std::uint8_t down = 0;
+  };
+  [[nodiscard]] std::size_t idx(NodeId observer, NodeId peer) const {
+    return static_cast<std::size_t>(observer * racks_ + peer);
+  }
+
+  std::int32_t racks_;
+  NodeId owner_;
+  std::int32_t quorum_;
+  std::uint64_t revision_ = 1;
+  std::vector<LinkState> links_;
+  std::vector<std::int32_t> down_votes_;
+  std::vector<std::uint64_t> merged_rev_;
+};
+
+std::string serialized(const ctrl::MembershipView& v) {
+  ckpt::Writer w;
+  v.serialize(w);
+  return std::string(w.data());
+}
+
+// A seeded random walk of reports, piggyback merges, admissions, fresh-view
+// rejoins and checkpoint round trips over six views of a 12-rack fabric
+// (144 links: the verdict bits span three words). After every step each
+// view answers every query like the reference and serializes to the same
+// bytes.
+TEST(MembershipView, MatchesPerEntryReferenceOverRandomWalk) {
+  constexpr std::int32_t kRacks = 12;
+  constexpr std::int32_t kQuorum = 2;
+  constexpr std::array<NodeId, 6> kOwners{0, 3, 5, 6, 9, 11};
+  std::vector<ctrl::MembershipView> views;
+  std::vector<ReferenceView> refs;
+  for (const NodeId o : kOwners) {
+    views.emplace_back(kRacks, o, kQuorum);
+    refs.emplace_back(kRacks, o, kQuorum);
+  }
+  Rng rng(2027);
+  std::int64_t rows_walked = 0;
+  std::int64_t merges_changed = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto a = static_cast<std::size_t>(rng.below(kOwners.size()));
+    const std::uint64_t op = rng.below(100);
+    std::string what;
+    if (op < 40) {
+      // Mostly "down" while few links are down, so verdicts pile up.
+      const auto peer = static_cast<NodeId>(rng.below(kRacks));
+      const bool down = rng.chance(0.6);
+      views[a].report_link(peer, down);
+      refs[a].report_link(peer, down);
+      what = "report_link";
+    } else if (op < 88) {
+      auto b = static_cast<std::size_t>(rng.below(kOwners.size() - 1));
+      if (b >= a) ++b;
+      const std::int64_t before = rows_walked;
+      const bool got = views[a].merge_from(views[b], &rows_walked);
+      const bool want = refs[a].merge_from(refs[b]);
+      ASSERT_EQ(got, want) << "merge_from return at step " << step;
+      // A merge walks a row only if it changes something there.
+      EXPECT_EQ(rows_walked > before, want) << "step " << step;
+      EXPECT_LE(rows_walked - before, kRacks - 1) << "step " << step;
+      if (want) ++merges_changed;
+      what = "merge_from";
+    } else if (op < 95) {
+      const auto node = static_cast<NodeId>(rng.below(kRacks));
+      views[a].admit(node);
+      refs[a].admit(node);
+      what = "admit";
+    } else if (op < 98) {
+      // Rejoin: the rack reboots with a fresh view; everyone admits it.
+      const NodeId node = kOwners[a];
+      views[a] = ctrl::MembershipView(kRacks, node, kQuorum);
+      refs[a] = ReferenceView(kRacks, node, kQuorum);
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        if (i == a) continue;
+        views[i].admit(node);
+        refs[i].admit(node);
+      }
+      what = "rejoin";
+    } else {
+      // Checkpoint round trip into a view of another owner.
+      const std::string bytes = serialized(views[a]);
+      ctrl::MembershipView back(kRacks, kOwners[(a + 1) % kOwners.size()],
+                                kQuorum);
+      ckpt::Reader r(bytes);
+      ASSERT_TRUE(back.restore(r)) << r.error();
+      ASSERT_TRUE(r.expect_end());
+      views[a] = back;
+      what = "restore";
+    }
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const ctrl::MembershipView& v = views[i];
+      const ReferenceView& ref = refs[i];
+      ASSERT_EQ(v.revision(), ref.revision())
+          << what << " at step " << step << ", view " << i;
+      ASSERT_EQ(v.down_set(), ref.down_set())
+          << what << " at step " << step << ", view " << i;
+      bool any_down = false;
+      for (NodeId obs = 0; obs < kRacks; ++obs) {
+        ASSERT_EQ(v.node_down(obs), ref.node_down(obs))
+            << what << " at step " << step << ", view " << i;
+        for (NodeId peer = 0; peer < kRacks; ++peer) {
+          ASSERT_EQ(v.link_down(obs, peer), ref.link_down(obs, peer))
+              << what << " at step " << step << ", view " << i << ", link "
+              << peer << "->" << obs;
+          any_down = any_down || ref.link_down(obs, peer);
+        }
+      }
+      ASSERT_EQ(v.any_link_down(), any_down)
+          << what << " at step " << step << ", view " << i;
+      ASSERT_EQ(serialized(v), ref.serialize())
+          << what << " at step " << step << ", view " << i;
+    }
+  }
+  // The walk exercised both merge outcomes and convicted someone.
+  EXPECT_GT(merges_changed, 100);
+  EXPECT_GT(rows_walked, merges_changed);
+}
+
+// Checkpoint bytes hold one verdict byte per link; anything but 0 or 1, or
+// a vote tally that disagrees with the verdicts, is a corrupt view.
+TEST(MembershipView, RestoreRejectsImpossibleVerdicts) {
+  ctrl::MembershipView v(4, 1, 2);
+  v.report_link(2, true);
+  const std::string bytes = serialized(v);
+  // Header: racks, owner, quorum (i32 each), revision, link count (u64);
+  // then 5 bytes per link. Link 1 -> 2's verdict byte:
+  const std::size_t verdict = 4 * 3 + 8 * 2 + (1 * 4 + 2) * 5 + 4;
+  ASSERT_EQ(bytes[verdict], 1);
+  {
+    std::string bad = bytes;
+    bad[verdict] = 2;
+    ctrl::MembershipView back(4, 1, 2);
+    ckpt::Reader r(bad);
+    EXPECT_FALSE(back.restore(r));
+    EXPECT_NE(r.error().find("verdict"), std::string::npos) << r.error();
+  }
+  {
+    std::string bad = bytes;
+    bad[verdict] = 0;  // the tally still counts the vote
+    ctrl::MembershipView back(4, 1, 2);
+    ckpt::Reader r(bad);
+    EXPECT_FALSE(back.restore(r));
+    EXPECT_NE(r.error().find("tally"), std::string::npos) << r.error();
+  }
+  ctrl::MembershipView back(4, 1, 2);
+  ckpt::Reader r(bytes);
+  EXPECT_TRUE(back.restore(r)) << r.error();
+  EXPECT_TRUE(back.link_down(1, 2));
 }
 
 #if defined(SIRIUS_AUDIT)

@@ -13,8 +13,9 @@
 // A kernel rewrite must reproduce all three. Each entry also pins the
 // kernel's exact work and footprint (sim::WorkCounters, kept out of the
 // digests): the run is deterministic, so a change in pairs or flows visited
-// is a change in the work done per slot, and a change in queue slots one in
-// the memory the node queues hold, visible here without any timing noise.
+// is a change in the work done per slot, a change in queue slots one in
+// the memory the node queues hold, and a change in view rows merged one in
+// the §4.5 membership merges' work, visible here without any timing noise.
 // When `flows` moves, the test names the first divergent flow from the
 // per-flow completion times kept in tests/golden/<entry>.txt. Every run also
 // writes its actual per-flow file to <build>/tests/golden_actual/, which is
@@ -134,6 +135,7 @@ struct Golden {
   std::int64_t pairs_visited;
   std::int64_t flows_visited;
   std::int64_t queue_slots;
+  std::int64_t view_rows_merged;
 };
 
 sim::SiriusSimConfig base_config() {
@@ -160,45 +162,45 @@ workload::Workload make_workload(const sim::SiriusSimConfig& cfg, double load,
 
 // Re-pinning any digest is a behaviour change: it needs a CHANGES.md line
 // that says why the simulator's results moved. A change to the kernel's work
-// alone re-pins only the three work columns, also with a CHANGES.md line,
+// alone re-pins only the four work columns, also with a CHANGES.md line,
 // and leaves every digest as it was.
 const std::vector<Golden>& goldens() {
   static const std::vector<Golden> kGoldens{
       // name, config tweak, load, flows, the results/flows/state pins, then
-      // pairs visited, flows visited and queue slots.
+      // pairs visited, flows visited, queue slots and view rows merged.
       {"valiant_q2", [](sim::SiriusSimConfig* c) { c->queue_limit = 2; }, 0.6,
        400, 0xd0d63f31aade39f0, 0x57355745703dddcc, 0x7099e48b1fa81e98,
-       129495, 36160, 1077},
+       129495, 36160, 1077, 0},
       {"valiant_q16", [](sim::SiriusSimConfig* c) { c->queue_limit = 16; },
        0.6, 400, 0x9c83a2eac1a058ff, 0xd328432fb0bc63a5, 0x0ea8450fc1ccf958,
-       129372, 33611, 1134},
+       129372, 33611, 1134, 0},
       {"ideal",
        [](sim::SiriusSimConfig* c) { c->routing = sim::RoutingMode::kIdeal; },
        0.6, 400, 0x4c58a7a841b09fe4, 0x0af0acfa5d76dbc2, 0x1d01159646b75db1,
-       289120, 0, 2551},
+       289120, 0, 2551, 0},
       {"direct",
        [](sim::SiriusSimConfig* c) { c->routing = sim::RoutingMode::kDirect; },
        0.3, 300, 0x41f4575757dc0461, 0x1cee5e5476e7c333, 0x84c83688634be468,
-       692320, 0, 385},
+       692320, 0, 385, 0},
       {"static_failed_rack",
        [](sim::SiriusSimConfig* c) { c->faults.fail_rack(5, Time::zero()); },
        0.5, 400, 0xaeaaa3fc6529c5c1, 0x334ec8808f652b72, 0xc541b16afd479574,
-       120149, 28565, 983},
+       120149, 28565, 983, 0},
       {"midrun_fault_grey",
        [](sim::SiriusSimConfig* c) {
          c->faults.fail_rack(3, Time::us(60), Time::us(220));
          c->faults.grey_link(2, 5, 0.3, Time::us(40), Time::us(160));
          c->record_recovery_curve = true;
        },
-       0.5, 400, 0x7f8a20fe691c7c5f, 0x328580a56d45f837, 0x103cd180582019b0,
-       250870, 23280, 1005},
+       0.5, 400, 0x7f8a20fe691c7c5f, 0x328580a56d45f837, 0x4de11c4b7701e2a8,
+       250870, 23280, 1005, 479},
       {"valiant_q4_32rack",
        [](sim::SiriusSimConfig* c) {
          c->racks = 32;
          c->base_uplinks = 8;  // 12 uplinks over 31 peers: 3 slots a round
        },
        0.8, 600, 0xdefd986508e9d95f, 0x983ba25546786b6c, 0xb625dbe937614ae2,
-       216924, 37978, 2964},
+       216924, 37978, 2964, 0},
   };
   return kGoldens;
 }
@@ -292,6 +294,8 @@ TEST_P(GoldenTest, MatchesPinnedDigests) {
       << g.name << ": the request builder scans a different number of flows";
   EXPECT_EQ(r.work.queue_slots, g.queue_slots)
       << g.name << ": the node queues hold a different number of slots";
+  EXPECT_EQ(r.work.view_rows_merged, g.view_rows_merged)
+      << g.name << ": the view merges walk a different number of rows";
   // Where the kernel skips idle pairs, each pair it visits sends one cell.
   if (cfg.routing == sim::RoutingMode::kValiant && !cfg.faults.dynamic()) {
     EXPECT_EQ(r.work.pairs_visited, r.slots_tx_first + r.slots_tx_relay)
