@@ -18,7 +18,7 @@ RequestGrantNode::RequestGrantNode(NodeId self, const RequestGrantConfig& cfg)
   pool_pos_.assign(static_cast<std::size_t>(cfg_.nodes), -1);
   excluded_.assign(static_cast<std::size_t>(cfg_.nodes), 0);
   // Pre-size the per-slot request inbox: at most one piggybacked request
-  // per peer per slot, so the SIRIUS_HOT receive path never reallocates.
+  // per peer per slot, so the per-slot receive path never reallocates.
   inbox_.reserve(static_cast<std::size_t>(cfg_.nodes));
 }
 

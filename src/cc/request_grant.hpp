@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "ckpt/io.hpp"
-#include "common/hot_path.hpp"
 #include "common/invariant.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -85,7 +84,7 @@ class RequestGrantNode {
   // ---- intermediate role -------------------------------------------------
 
   /// Buffers a request received during the current epoch.
-  SIRIUS_HOT void receive_request(const Request& r) {
+  void receive_request(const Request& r) {
     SIRIUS_INVARIANT(r.dst >= 0 && r.dst < cfg_.nodes && r.src >= 0 &&
                          r.src < cfg_.nodes,
                      "request %d -> %d outside the %d-node network", r.src,
@@ -101,8 +100,8 @@ class RequestGrantNode {
   /// contents of `*grants` (the caller's reused scratch).
   /// `queued_for(dst)` must return the current relay-queue depth for dst.
   template <typename QueuedFn>
-  SIRIUS_HOT void issue_grants(QueuedFn&& queued_for, Rng& rng,
-                               std::vector<Grant>* grants) {
+  void issue_grants(QueuedFn&& queued_for, Rng& rng,
+                    std::vector<Grant>* grants) {
     shuffle_inbox(rng);
     grants->clear();
     for (const Request& r : inbox_) {
@@ -138,7 +137,7 @@ class RequestGrantNode {
   /// A granted cell arrived and was enqueued for `dst`. Every grant is
   /// settled exactly once (cell arrival or release), so the outstanding
   /// counter must be positive here — an underflow means double accounting.
-  SIRIUS_HOT void on_granted_cell_arrival(NodeId dst) {
+  void on_granted_cell_arrival(NodeId dst) {
     auto& out = outstanding_[static_cast<std::size_t>(dst)];
     SIRIUS_INVARIANT(out > 0,
                      "node %d: grant accounting underflow for dst %d", self_,
@@ -149,7 +148,7 @@ class RequestGrantNode {
   /// The source released an unusable grant for `dst`. Unlike cell arrival,
   /// duplicate releases are part of the contract (a source may redundantly
   /// release), so this clamps at zero instead of auditing.
-  SIRIUS_HOT void on_grant_release(NodeId dst) {
+  void on_grant_release(NodeId dst) {
     auto& out = outstanding_[static_cast<std::size_t>(dst)];
     if (out > 0) --out;
     ++stat_releases_;

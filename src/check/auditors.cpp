@@ -24,11 +24,12 @@ std::vector<std::string> AuditorRegistry::names() const {
 }
 
 void audit_destination_permutation(const std::vector<NodeId>& dsts,
-                                   const char* what) {
+                                   const char* what,
+                                   std::vector<std::uint8_t>& seen) {
   // Destinations are small non-negative ids; a seen-bitmap keeps this O(n).
   NodeId max_id = -1;
   for (const NodeId d : dsts) max_id = d > max_id ? d : max_id;
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(max_id + 1), 0);
+  seen.assign(static_cast<std::size_t>(max_id + 1), 0);
   for (const NodeId d : dsts) {
     if (d == kInvalidNode) continue;  // idle uplink (schedule padding)
     SIRIUS_INVARIANT(d >= 0, "%s: negative destination %d", what, d);

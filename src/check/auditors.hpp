@@ -51,9 +51,12 @@ class AuditorRegistry {
 };
 
 /// Core permutation check: no destination may appear twice (kInvalidNode
-/// entries are idle uplinks and exempt). `what` labels the report.
+/// entries are idle uplinks and exempt). `what` labels the report. `seen`
+/// is the caller's scratch, kept across calls so that a periodic audit
+/// stops allocating once it has held the largest destination id.
 void audit_destination_permutation(const std::vector<NodeId>& dsts,
-                                   const char* what);
+                                   const char* what,
+                                   std::vector<std::uint8_t>& seen);
 
 /// Conservation: injected == delivered + queued + in_flight + dropped.
 void audit_cell_conservation(std::int64_t injected, std::int64_t delivered,

@@ -20,7 +20,7 @@ class PercentileTracker {
  public:
   void add(double v) {
     // Flow-completion-rate, not slot-rate: one push per finished flow,
-    // amortized geometric growth. sirius-lint: allow(hot-path-alloc)
+    // amortized geometric growth.
     samples_.push_back(v);
     sorted_ = false;
   }

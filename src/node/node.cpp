@@ -286,6 +286,7 @@ void put_cell_queues(ckpt::Writer& w, const PooledQueues<Cell>& pool,
 /// own index; a VQ may hold any destination.
 template <typename ListOf>
 bool get_cell_queues(ckpt::Reader& r, std::size_t nodes,
+                     std::span<const workload::Flow> flows, DataSize capacity,
                      PooledQueues<Cell>& pool, ListOf&& list, bool per_dst,
                      const char* what) {
   const std::size_t n = r.count(8, what);
@@ -306,6 +307,10 @@ bool get_cell_queues(ckpt::Reader& r, std::size_t nodes,
       if (!in_range) {
         r.fail(std::string(what) + " queue holds a cell for the wrong "
                                    "destination");
+        return false;
+      }
+      if (!in_workload(c, flows, capacity)) {
+        r.fail(std::string(what) + " queue holds a cell outside the workload");
         return false;
       }
       pool.push(l, c);
@@ -366,7 +371,7 @@ void Node::serialize(ckpt::Writer& w) const {
   gauge_.serialize(w);
 }
 
-bool Node::restore(ckpt::Reader& r) {
+bool Node::restore(ckpt::Reader& r, std::span<const workload::Flow> flows) {
   if (!cc_.restore(r)) return false;
   const std::size_t n_local = r.count(8, "LOCAL flow list");
   if (n_local >= std::numeric_limits<std::uint32_t>::max()) {
@@ -435,9 +440,12 @@ bool Node::restore(ckpt::Reader& r) {
   const auto vq = [](std::size_t d) { return vq_list(static_cast<NodeId>(d)); };
   const auto fq = [](std::size_t d) { return fq_list(static_cast<NodeId>(d)); };
   const auto own = [](std::size_t d) { return d; };
-  if (!get_cell_queues(r, n, queues_, vq, false, "virtual") ||
-      !get_cell_queues(r, n, queues_, fq, true, "forward") ||
-      !get_cell_queues(r, n, retx_, own, true, "retransmission")) {
+  if (!get_cell_queues(r, n, flows, cell_capacity_, queues_, vq, false,
+                       "virtual") ||
+      !get_cell_queues(r, n, flows, cell_capacity_, queues_, fq, true,
+                       "forward") ||
+      !get_cell_queues(r, n, flows, cell_capacity_, retx_, own, true,
+                       "retransmission")) {
     return false;
   }
   rebuild_occupied();

@@ -14,10 +14,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cc/request_grant.hpp"
-#include "common/hot_path.hpp"
 #include "common/time.hpp"
 #include "node/cell.hpp"
 #include "node/pooled_queues.hpp"
@@ -103,12 +103,11 @@ class Node {
 
   /// On grant receipt: takes the oldest pending cell for `dst` out of
   /// LOCAL. Returns nullopt if no such cell exists (grant is released).
-  SIRIUS_HOT std::optional<Cell> take_cell_for(NodeId dst, Time now,
-                                               Time cell_interval);
+  std::optional<Cell> take_cell_for(NodeId dst, Time now, Time cell_interval);
 
   /// Takes the oldest pending cell for *any* destination (ideal /
   /// scheduler-less spraying mode). Returns nullopt when LOCAL is empty.
-  SIRIUS_HOT std::optional<Cell> take_any_cell(Time now, Time cell_interval);
+  std::optional<Cell> take_any_cell(Time now, Time cell_interval);
 
   /// Aborts every LOCAL flow matching `pred` (its destination died, or this
   /// node itself fail-stopped): remaining cells are removed from LOCAL
@@ -121,7 +120,7 @@ class Node {
   /// Re-queues a timed-out granted cell for retransmission. Retx cells are
   /// served before LOCAL by take_cell_for / pending_cell_dsts, so the next
   /// grant towards their destination re-covers the loss first.
-  SIRIUS_HOT void push_retx(const Cell& c);
+  void push_retx(const Cell& c);
   [[nodiscard]] std::int64_t retx_total() const { return retx_total_; }
   [[nodiscard]] std::int32_t retx_depth(NodeId dst) const {
     return static_cast<std::int32_t>(retx_.size(static_cast<std::size_t>(dst)));
@@ -142,8 +141,8 @@ class Node {
 
   // ---- virtual queues towards intermediates (source role) ---------------
 
-  SIRIUS_HOT void push_vq(NodeId intermediate, const Cell& c);
-  SIRIUS_HOT std::optional<Cell> pop_vq(NodeId intermediate);
+  void push_vq(NodeId intermediate, const Cell& c);
+  std::optional<Cell> pop_vq(NodeId intermediate);
   [[nodiscard]] bool vq_empty(NodeId intermediate) const {
     return queues_.empty(vq_list(intermediate));
   }
@@ -153,8 +152,8 @@ class Node {
 
   // ---- forward queues per destination (intermediate role) ---------------
 
-  SIRIUS_HOT void push_fq(NodeId dst, const Cell& c);
-  SIRIUS_HOT std::optional<Cell> pop_fq(NodeId dst);
+  void push_fq(NodeId dst, const Cell& c);
+  std::optional<Cell> pop_fq(NodeId dst);
   [[nodiscard]] bool fq_empty(NodeId dst) const {
     return queues_.empty(fq_list(dst));
   }
@@ -195,7 +194,9 @@ class Node {
   /// state and the occupancy gauge — the complete data-plane state of this
   /// node.
   void serialize(ckpt::Writer& w) const;
-  bool restore(ckpt::Reader& r);
+  /// Every queued cell must belong to one of `flows` (see in_workload),
+  /// the flows injected so far.
+  bool restore(ckpt::Reader& r, std::span<const workload::Flow> flows);
 
  private:
   LocalFlow* oldest_pending_flow_for(NodeId dst, Time now, Time cell_interval);

@@ -19,8 +19,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/hot_path.hpp"
-
 namespace sirius::node {
 
 template <typename T>
@@ -52,7 +50,7 @@ class PooledQueues {
     }
   }
 
-  SIRIUS_HOT void push(std::size_t l, const T& v) {
+  void push(std::size_t l, const T& v) {
     std::uint32_t s = free_;
     if (s != kNil) {
       free_ = slots_[s].next;
@@ -63,7 +61,6 @@ class PooledQueues {
       s = static_cast<std::uint32_t>(slots_.size());
       // The pool grows only when its live entries pass their previous
       // peak, by amortized doubling; steady-state push/pop never allocates.
-      // sirius-lint: allow(hot-path-alloc)
       slots_.push_back({{v, kNil}});
     }
     List& q = lists_[l];
@@ -76,7 +73,7 @@ class PooledQueues {
     ++q.size;
   }
 
-  SIRIUS_HOT void pop(std::size_t l) {
+  void pop(std::size_t l) {
     List& q = lists_[l];
     assert(q.size > 0);
     const std::uint32_t s = q.head;
@@ -87,7 +84,7 @@ class PooledQueues {
   }
 
   /// Moves the front element to the back, relinking its slot.
-  SIRIUS_HOT void rotate(std::size_t l) {
+  void rotate(std::size_t l) {
     List& q = lists_[l];
     assert(q.size > 0);
     if (q.size == 1) return;

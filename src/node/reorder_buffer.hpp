@@ -10,7 +10,7 @@
 // cell of the flow, that the caller owns and passes to every call that
 // reads or writes it. A receiver with many flows keeps all their bitmaps
 // in one word array (SiriusSim does), so a flow costs no heap object of
-// its own; on_arrival — on the SIRIUS_HOT delivery path — never allocates:
+// its own; on_arrival — on the per-cell delivery path — never allocates:
 // insert, lookup, and the release scan are word operations over that span.
 #pragma once
 
@@ -18,7 +18,6 @@
 #include <span>
 
 #include "ckpt/io.hpp"
-#include "common/hot_path.hpp"
 #include "common/units.hpp"
 
 namespace sirius::node {
@@ -40,8 +39,8 @@ class ReorderBuffer {
   /// `pending` is this buffer's bitmap (all zero for a fresh buffer).
   /// Returns the number of cells newly released in order (>= 1 exactly when
   /// `seq` extended the in-order prefix).
-  SIRIUS_HOT std::int64_t on_arrival(std::span<std::uint64_t> pending,
-                                     std::int32_t seq, std::int32_t bytes);
+  std::int64_t on_arrival(std::span<std::uint64_t> pending, std::int32_t seq,
+                          std::int32_t bytes);
 
   [[nodiscard]] bool complete() const { return next_expected_ >= total_cells_; }
   /// Has cell `seq` already arrived (released in order or still buffered)?

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "ckpt/io.hpp"
-#include "common/hot_path.hpp"
 #include "common/units.hpp"
 #include "topo/sirius_topology.hpp"
 
@@ -53,13 +52,11 @@ class CyclicSchedule final {
   /// Destination of node `src` on uplink `u` at global slot `t`, or
   /// kInvalidNode if that uplink is idle in this slot (padding when
   /// (N-1) is not a multiple of U).
-  [[nodiscard]] SIRIUS_HOT NodeId peer_tx(NodeId src, UplinkId u,
-                                          std::int64_t t) const;
+  [[nodiscard]] NodeId peer_tx(NodeId src, UplinkId u, std::int64_t t) const;
 
   /// Source heard by node `dst` on downlink `u` at slot `t`, or
   /// kInvalidNode when idle.
-  [[nodiscard]] SIRIUS_HOT NodeId peer_rx(NodeId dst, UplinkId u,
-                                          std::int64_t t) const;
+  [[nodiscard]] NodeId peer_rx(NodeId dst, UplinkId u, std::int64_t t) const;
 
   /// The (slot-in-round, uplink) at which `src` talks to `dst`. Each
   /// ordered pair occurs exactly once per round.

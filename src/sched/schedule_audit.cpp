@@ -1,19 +1,17 @@
 #include "sched/schedule_audit.hpp"
 
-#include <vector>
-
 #include "check/auditors.hpp"
 #include "common/invariant.hpp"
 #include "sched/schedule.hpp"
 
 namespace sirius::sched {
 
-void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot) {
+void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot,
+                            PermutationScratch& scratch) {
   // Contention-freeness is per uplink: for a fixed (u, slot) the src -> dst
   // map is a bijection. Across uplinks a node legitimately receives up to
   // U cells per slot (one per downlink), so each uplink is audited alone.
-  std::vector<NodeId> dsts;
-  dsts.reserve(static_cast<std::size_t>(sched.nodes()));
+  std::vector<NodeId>& dsts = scratch.dsts;
   for (UplinkId u = 0; u < sched.uplinks(); ++u) {
     dsts.clear();
     for (NodeId raw = 0, seen = 0; seen < sched.nodes(); ++raw) {
@@ -28,7 +26,7 @@ void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot) {
                        raw, dst, static_cast<long long>(slot));
       dsts.push_back(dst);
     }
-    check::audit_destination_permutation(dsts, "schedule");
+    check::audit_destination_permutation(dsts, "schedule", scratch.seen);
   }
 
   // rx consistency: every receiver that hears someone hears exactly the

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/units.hpp"
 
@@ -16,9 +17,17 @@ namespace sirius::sched {
 
 class CyclicSchedule;
 
+/// The buffers audit_slot_permutation fills, kept by the caller from one
+/// audit to the next so that a periodic audit does not allocate.
+struct PermutationScratch {
+  std::vector<NodeId> dsts;
+  std::vector<std::uint8_t> seen;
+};
+
 /// Audits slot `slot` of the schedule: the tx map over (member, uplink) is
 /// a partial permutation, destinations are members distinct from their
 /// source, and peer_rx inverts peer_tx.
-void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot);
+void audit_slot_permutation(const CyclicSchedule& sched, std::int64_t slot,
+                            PermutationScratch& scratch);
 
 }  // namespace sirius::sched

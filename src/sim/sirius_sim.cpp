@@ -275,9 +275,11 @@ void SiriusSim::register_auditors() {
   // Per-slot contention-freeness of the static schedule (§4.2): the tx map
   // must be a partial permutation and peer_rx its inverse. The audited slot
   // is schedule-relative (a swap restarts the round phase).
-  auditors_.register_auditor("schedule-permutation", [this] {
-    sched::audit_slot_permutation(sched_, audit_slot_);
-  });
+  auditors_.register_auditor(
+      "schedule-permutation",
+      [this, scratch = sched::PermutationScratch{}]() mutable {
+        sched::audit_slot_permutation(sched_, audit_slot_, scratch);
+      });
 
   // The §4.3 queue bound. The grant accounting releases a token when the
   // granted cell is *transmitted* (see transmit_slot), so between transmit
@@ -1009,10 +1011,8 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
   // 4. Schedule swap: a member leaves the calendar once every alive member
   // has excluded it — the views have converged, so everyone rebases onto
   // the new calendar at the same boundary.
-  std::vector<NodeId> keep;
-  std::vector<NodeId> drop;
-  for (NodeId m = 0; m < cfg_.racks; ++m) {
-    if (!sched_.is_member(m)) continue;
+  const auto droppable = [this](NodeId m) {
+    if (!sched_.is_member(m)) return false;
     bool any_observer = false;
     bool all_excluded = true;
     for (NodeId o = 0; o < cfg_.racks && all_excluded; ++o) {
@@ -1023,13 +1023,18 @@ void SiriusSim::round_boundary_failover(std::int64_t round, std::int64_t slot,
       any_observer = true;
       all_excluded = nodes_[static_cast<std::size_t>(o)].cc().is_excluded(m);
     }
-    if (any_observer && all_excluded) {
-      drop.push_back(m);
-    } else {
-      keep.push_back(m);
-    }
+    return any_observer && all_excluded;
+  };
+  // Almost every round drops nobody, so the member lists are built only
+  // once someone is droppable.
+  bool any_drop = false;
+  for (NodeId m = 0; m < cfg_.racks && !any_drop; ++m) any_drop = droppable(m);
+  std::vector<NodeId> keep;
+  std::vector<NodeId> drop;
+  for (NodeId m = 0; m < cfg_.racks && any_drop; ++m) {
+    if (sched_.is_member(m)) (droppable(m) ? drop : keep).push_back(m);
   }
-  if (!drop.empty() && keep.size() >= 2) {
+  if (any_drop && keep.size() >= 2) {
     for (const NodeId m : drop) {
       if (truth_down_[static_cast<std::size_t>(m)] != 0) continue;
       // A live rack voted out (quorum of grey links): it is cut off from
@@ -1487,6 +1492,9 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
     r.fail("flows-remaining count out of range");
   }
   if (!r.ok()) return false;
+  // Every queued, in-flight or timed cell belongs to an injected flow.
+  const auto injected = std::span<const workload::Flow>(workload_.flows)
+                            .first(static_cast<std::size_t>(next_flow));
 
   if (!r.expect_tag(kTagRng, "rng")) return false;
   Rng::State rs{};
@@ -1526,7 +1534,7 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
     return false;
   }
   for (node::Node& n : nodes_) {
-    if (!n.restore(r)) return false;
+    if (!n.restore(r, injected)) return false;
   }
 
   if (!r.expect_tag(kTagRx, "receive state")) return false;
@@ -1610,6 +1618,10 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
         r.fail("in-flight cell addressed outside the rack range");
         return false;
       }
+      if (!node::in_workload(a.cell, injected, cfg_.slots.cell_size())) {
+        r.fail("in-flight cell outside the workload");
+        return false;
+      }
       bucket.push_back(a);
     }
   }
@@ -1691,8 +1703,7 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
       }
       // Expiry indexes the flow's receive record and the destination's
       // retransmission queue.
-      if (t.cell.flow < 0 ||
-          static_cast<std::uint64_t>(t.cell.flow) >= rx_index_.size() ||
+      if (!node::in_workload(t.cell, injected, cfg_.slots.cell_size()) ||
           t.cell.dst_node < 0 || t.cell.dst_node >= cfg_.racks) {
         r.fail("retransmission timer for a cell outside the workload");
         return false;

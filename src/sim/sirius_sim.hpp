@@ -32,7 +32,6 @@
 
 #include "check/auditors.hpp"
 #include "ckpt/io.hpp"
-#include "common/hot_path.hpp"
 #include "common/rng.hpp"
 #include "ctrl/fault_plan.hpp"
 #include "ctrl/peer_health.hpp"
@@ -317,9 +316,9 @@ class SiriusSim {
   void update_gauges();
   void epoch_boundary(std::int64_t round, Time now);
   void inject_arrivals(Time now);
-  SIRIUS_HOT void land_arrivals(std::int64_t slot, Time now);
-  SIRIUS_HOT void transmit_slot(std::int64_t slot, Time now);
-  SIRIUS_HOT void deliver(const node::Cell& cell, Time now);
+  void land_arrivals(std::int64_t slot, Time now);
+  void transmit_slot(std::int64_t slot, Time now);
+  void deliver(const node::Cell& cell, Time now);
   void finish_flow(FlowId flow, Time completion);
 
   // ---- §4.5 failover machinery (active only for dynamic fault plans) ----

@@ -11,7 +11,7 @@ void FlightRecorder::configure(std::int32_t nodes, std::int32_t depth) {
   depth_ = depth;
   rings_.assign(static_cast<std::size_t>(nodes), {});
   // Pre-size every ring to its fixed depth so the record() fill phase —
-  // hot-path-reachable through the cell-event hook — never reallocates.
+  // reached per cell through the cell-event hook — never reallocates.
   for (auto& ring : rings_) ring.reserve(static_cast<std::size_t>(depth_));
   next_.assign(static_cast<std::size_t>(nodes), 0);
   seen_.assign(static_cast<std::size_t>(nodes), 0);

@@ -30,9 +30,6 @@ inline std::string json_escape(const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          // Formats into a stack buffer (no stream, no unwind); hot
-          // only through the name-keyed `add` merge.
-          // sirius-lint: allow(hot-path-throw)
           std::snprintf(buf, sizeof buf, "\\u%04x", c);
           out += buf;
         } else {
@@ -87,8 +84,6 @@ class JsonObject {
     part += json_escape(key);
     part += "\": ";
     part += raw_json;
-    // Export-time builder; hot only through the name-keyed `add`
-    // merge in the call graph. sirius-lint: allow(hot-path-alloc)
     parts_.push_back(std::move(part));
     return *this;
   }

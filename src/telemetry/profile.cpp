@@ -43,7 +43,6 @@ std::int32_t Profiler::find_or_add_child(std::int32_t parent, ProfScope s) {
   // kProfScopeCount^depth distinct paths (in practice a dozen nodes), so
   // growth stops after the first slot touches every path; steady state is
   // allocation-free.
-  // sirius-lint: allow(hot-path-alloc)
   tree_.push_back(TreeNode{});
   const std::int32_t idx = static_cast<std::int32_t>(tree_.size()) - 1;
   TreeNode& n = tree_.back();

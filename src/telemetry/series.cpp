@@ -14,9 +14,7 @@ BinnedSeries::BinnedSeries(Time bin) : bin_(bin) {
 void BinnedSeries::add(Time at, double value) {
   if (at < Time::zero()) return;
   const auto i = static_cast<std::size_t>(at / bin_);
-  // Bin growth is monotone in sim time: O(log) doublings per run,
-  // hot only through the name-keyed `add` merge.
-  // sirius-lint: allow(hot-path-alloc)
+  // Bin growth is monotone in sim time: O(log) doublings per run.
   if (bins_.size() <= i) bins_.resize(i + 1, 0.0);
   bins_[i] += value;
 }

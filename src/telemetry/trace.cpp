@@ -27,7 +27,7 @@ void CellTracer::configure(std::int64_t flow_sample, std::int64_t max_events) {
   enabled_ = true;
   sample_ = flow_sample < 1 ? 1 : flow_sample;
   cap_ = max_events < 1 ? 1 : max_events;
-  // Pre-size to the cap so record() — hot-path-reachable through the
+  // Pre-size to the cap so record() — reached per cell through the
   // cell-event hook — never reallocates while tracing is on.
   events_.reserve(static_cast<std::size_t>(cap_));
 }

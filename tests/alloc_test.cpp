@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "sim/sirius_sim.hpp"
 #include "workload/generator.hpp"
@@ -43,11 +45,11 @@ sim::SiriusSimConfig net() {
 }
 
 workload::Workload make_wl(const sim::SiriusSimConfig& cfg,
-                           std::int64_t flows) {
+                           std::int64_t flows, double load = 0.5) {
   workload::GeneratorConfig g;
   g.servers = cfg.servers();
   g.server_rate = cfg.server_share();
-  g.load = 0.5;
+  g.load = load;
   g.flow_count = flows;
   g.max_flow_size = DataSize::megabytes(1);
   g.seed = 9;
@@ -139,6 +141,89 @@ TEST(RestoreAllocations, FlatInFlowCount) {
   EXPECT_GT(large.present, 5 * small.present);
   // ...and restoring them allocates exactly as often.
   EXPECT_EQ(large.allocations, small.allocations);
+}
+
+// Checkpoint intervals up to the last arrival.
+constexpr std::int64_t kIntervals = 40;
+
+// The slot loop's allocations in each interval between consecutive
+// checkpoints of a run of `cfg` over `w`. The checkpoint sink is the
+// clock: it counts on entry, then serializes the same state once more to
+// learn what the payload it was just handed cost, and takes that out of
+// the interval.
+std::vector<std::int64_t> slot_loop_allocations(sim::SiriusSimConfig cfg,
+                                                const workload::Workload& w) {
+  std::vector<std::int64_t> out;
+  const sim::SiriusSim* self = nullptr;
+  std::int64_t mark = -1;  // the count once the previous sink call was done
+  cfg.checkpoint_every = w.last_arrival() / kIntervals;
+  cfg.checkpoint_sink = [&](std::int64_t, Time, const std::string&) {
+    const std::int64_t entry = g_allocations;
+    const std::string again = self->checkpoint_state();
+    const std::int64_t serialize = g_allocations - entry;
+    if (mark >= 0) out.push_back(entry - mark - serialize);
+    mark = g_allocations;
+  };
+  sim::SiriusSim sim(cfg, w);
+  self = &sim;
+  EXPECT_EQ(sim.run().incomplete_flows, 0);
+  return out;
+}
+
+std::string show(const std::vector<std::int64_t>& v) {
+  std::string s;
+  for (const std::int64_t x : v) s += std::to_string(x) + " ";
+  return s;
+}
+
+// Warm-up intervals, measured intervals, and what doubling the measured
+// span may add. Every node keeps its LOCAL flows' records, live list and
+// queue-pool links, and the sim its receive records, bitmap words and FCT
+// samples; all grow by doubling with the flows injected, so each may double
+// about once more in the second span (28 to 33 allocations in the four
+// runs below). One allocation per audit would add at least 120, one per
+// round about 7 600.
+constexpr std::size_t kWarmup = 5;
+constexpr std::size_t kSpan = 15;
+constexpr std::int64_t kGrowth = 48;
+
+void expect_allocation_free(const sim::SiriusSimConfig& cfg,
+                            const workload::Workload& w) {
+  const auto per = slot_loop_allocations(cfg, w);
+  ASSERT_GE(per.size(), kWarmup + 2 * kSpan);
+  const auto from = per.begin() + kWarmup;
+  const std::int64_t once = std::accumulate(from, from + kSpan, 0LL);
+  const std::int64_t twice = std::accumulate(from, from + 2 * kSpan, 0LL);
+  EXPECT_LE(twice - once, kGrowth) << "per interval: " << show(per);
+}
+
+TEST(SlotLoopAllocations, Valiant) {
+  const auto cfg = net();
+  expect_allocation_free(cfg, make_wl(cfg, 4000));
+}
+
+TEST(SlotLoopAllocations, Ideal) {
+  auto cfg = net();
+  cfg.routing = sim::RoutingMode::kIdeal;
+  expect_allocation_free(cfg, make_wl(cfg, 4000));
+}
+
+TEST(SlotLoopAllocations, Direct) {
+  auto cfg = net();
+  cfg.routing = sim::RoutingMode::kDirect;
+  expect_allocation_free(cfg, make_wl(cfg, 4000, 0.3));
+}
+
+// A rack dies and comes back inside the first measured span, and a grey
+// link loses bursts through both spans: detection, purges, retransmission
+// and both schedule swaps run, and the failover pass runs every round.
+TEST(SlotLoopAllocations, RackFaultAndGreyLink) {
+  auto cfg = net();
+  const auto w = make_wl(cfg, 4000);
+  const Time step = w.last_arrival() / kIntervals;
+  cfg.faults.fail_rack(3, step * 7, step * 12);
+  cfg.faults.grey_link(2, 5, 0.2, step * 3);
+  expect_allocation_free(cfg, w);
 }
 
 }  // namespace

@@ -51,21 +51,25 @@ TEST(InvariantContext, PassingConditionRecordsNothing) {
 
 TEST(Auditors, DuplicateDestinationInSlotIsReported) {
   ScopedCollect collect;
-  audit_destination_permutation({0, 1, 2, 1}, "test");
+  std::vector<std::uint8_t> seen;
+  audit_destination_permutation({0, 1, 2, 1}, "test", seen);
   EXPECT_EQ(collect.violations(), 1);
 }
 
 TEST(Auditors, PermutationWithIdleUplinksIsClean) {
   ScopedCollect collect;
-  audit_destination_permutation({2, kInvalidNode, 0, 1, kInvalidNode}, "test");
+  std::vector<std::uint8_t> seen;
+  audit_destination_permutation({2, kInvalidNode, 0, 1, kInvalidNode}, "test",
+                                seen);
   EXPECT_EQ(collect.violations(), 0);
 }
 
 TEST(Auditors, RealScheduleAuditsClean) {
   const sched::CyclicSchedule sched(16, 3);
   ScopedCollect collect;
+  sched::PermutationScratch scratch;
   for (std::int64_t slot = 0; slot < 2 * sched.slots_per_round(); ++slot) {
-    sched::audit_slot_permutation(sched, slot);
+    sched::audit_slot_permutation(sched, slot, scratch);
   }
   EXPECT_EQ(collect.violations(), 0);
 }
@@ -73,8 +77,9 @@ TEST(Auditors, RealScheduleAuditsClean) {
 TEST(Auditors, DegradedScheduleWithFailedMembersAuditsClean) {
   const sched::CyclicSchedule sched({0, 2, 3, 5, 6, 7, 9, 11}, 3);
   ScopedCollect collect;
+  sched::PermutationScratch scratch;
   for (std::int64_t slot = 0; slot < sched.slots_per_round(); ++slot) {
-    sched::audit_slot_permutation(sched, slot);
+    sched::audit_slot_permutation(sched, slot, scratch);
   }
   EXPECT_EQ(collect.violations(), 0);
 }

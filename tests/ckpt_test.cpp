@@ -14,6 +14,7 @@
 #include "ckpt/io.hpp"
 #include "common/time.hpp"
 #include "ctrl/peer_health.hpp"
+#include "node/cell.hpp"
 #include "node/node.hpp"
 #include "sim/sirius_sim.hpp"
 #include "telemetry/hub.hpp"
@@ -652,6 +653,96 @@ TEST(CkptSim, CorruptionMatrixRejectsImpossibleFailoverState) {
     std::string error;
     EXPECT_FALSE(target.restore_state(framed.payload, &error)) << c.what;
     EXPECT_NE(error.find(c.expect), std::string::npos)
+        << c.what << ": " << error;
+  }
+  sim::SiriusSim ok(cfg, w);
+  std::string error;
+  EXPECT_TRUE(ok.restore_state(snap, &error)) << error;
+}
+
+// Cells on the wire are checked against the workload like queued cells
+// and timers: delivery indexes the flow's receive record by flow and seq
+// and the destination server's downlink. The cases patch the first
+// in-flight cell of a CRC-valid snapshot.
+TEST(CkptSim, CorruptionMatrixRejectsCellsOutsideTheWorkload) {
+  auto cfg = faulted_net();
+  const auto w = make_wl(cfg, 0.5, 400);
+  std::string snap;
+  cfg.checkpoint_every = Time::us(125);
+  cfg.checkpoint_sink = [&snap](std::int64_t, Time, const std::string& p) {
+    if (snap.empty()) snap = p;
+  };
+  sim::SiriusSim(cfg, w).run();
+  cfg.checkpoint_sink = nullptr;
+  cfg.checkpoint_every = Time::zero();
+  ASSERT_FALSE(snap.empty());
+
+  // The ring: its bucket count, then per bucket a cell count and the cells,
+  // each followed by the rack it lands at; the statistics come next.
+  const std::string_view view(snap);
+  const auto u64_at = [view](std::size_t pos) {
+    ckpt::Reader r(view.substr(pos, 8));
+    return r.u64();
+  };
+  const std::size_t wire = snap.find("WIRE");
+  ASSERT_NE(wire, std::string::npos);
+  std::size_t at = wire + 4 + 8;
+  std::size_t first_cell = 0;
+  for (std::uint64_t b = u64_at(wire + 4); b > 0; --b) {
+    const std::uint64_t n = u64_at(at);
+    if (n > 0 && first_cell == 0) first_cell = at + 8;
+    at += 8 + n * (node::kCellBytes + 4);
+  }
+  ASSERT_EQ(snap.substr(at, 4), "STAT");
+  ASSERT_NE(first_cell, 0u) << "no cell on the wire";
+
+  const auto patched = [&snap](std::size_t pos, std::int64_t v, bool wide) {
+    ckpt::Writer bytes;
+    if (wide) {
+      bytes.i64(v);
+    } else {
+      bytes.i32(static_cast<std::int32_t>(v));
+    }
+    std::string p = snap;
+    p.replace(pos, bytes.data().size(), bytes.data());
+    return p;
+  };
+  // Cell fields: flow (i64), seq, destination rack, destination server.
+  ckpt::Reader server(view.substr(first_cell + 16, 4));
+  const std::int32_t other_server = (server.i32() + 1) % cfg.servers();
+  // The last flow arrives after the snapshot; a cell of it that heads to
+  // its server is wrong only in existing too early.
+  const workload::Flow& last = w.flows.back();
+  ASSERT_GT(last.arrival, Time::us(125));
+  const std::string early = [&] {
+    std::string p = patched(first_cell, last.id, true);
+    ckpt::Writer fields;
+    fields.i32(0);
+    fields.i32(last.dst_server / cfg.servers_per_rack);
+    fields.i32(last.dst_server);
+    p.replace(first_cell + 8, 12, fields.data());
+    return p;
+  }();
+  const struct {
+    const char* what;
+    std::string payload;
+  } cases[] = {
+      {"flow the workload does not have",
+       patched(first_cell, 1'000'000'000, true)},
+      {"seq past the flow's last cell",
+       patched(first_cell + 8, 1'000'000, false)},
+      {"another server than the flow's",
+       patched(first_cell + 16, other_server, false)},
+      {"flow not injected yet", early},
+  };
+  for (const auto& c : cases) {
+    const ckpt::LoadResult framed = ckpt::parse(ckpt::frame(c.payload));
+    ASSERT_TRUE(framed.ok()) << c.what << ": " << framed.message;
+    sim::SiriusSim target(cfg, w);
+    std::string error;
+    EXPECT_FALSE(target.restore_state(framed.payload, &error)) << c.what;
+    EXPECT_NE(error.find("in-flight cell outside the workload"),
+              std::string::npos)
         << c.what << ": " << error;
   }
   sim::SiriusSim ok(cfg, w);

@@ -42,8 +42,7 @@ set(expected_ids
   raw-unit-param pragma-once
   # cross-file rules
   no-mutable-global-state no-unordered-sim-state no-pointer-key-order
-  allowlist-sync hot-path-alloc hot-path-virtual hot-path-throw
-  hot-path-copy layer-order include-cycle duplicate-include
+  allowlist-sync layer-order include-cycle duplicate-include
   dead-public-symbol)
 set(missing ${expected_ids})
 list(REMOVE_ITEM missing ${rule_ids})
@@ -93,17 +92,17 @@ endforeach()
 
 set(json ${OUT_DIR}/violating.json)
 execute_process(
-  COMMAND ${LINT} --classify-as src/sim/hot_alloc.cpp --json ${json}
-          ${FIXTURES_DIR}/hot_alloc.cpp.in
+  COMMAND ${LINT} --classify-as src/sim/layer_order.cpp --json ${json}
+          ${FIXTURES_DIR}/layer_order.cpp.in
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR "violating fixture: expected exit 1, got ${rc}")
 endif()
 file(READ ${json} report)
-string(JSON count GET "${report}" rule_counts hot-path-alloc)
+string(JSON count GET "${report}" rule_counts layer-order)
 if(NOT count EQUAL 1)
   message(FATAL_ERROR
-    "violating fixture: rule_counts.hot-path-alloc=${count}, expected 1")
+    "violating fixture: rule_counts.layer-order=${count}, expected 1")
 endif()
 string(JSON total GET "${report}" violation_count)
 if(NOT total EQUAL 1)
@@ -111,7 +110,7 @@ if(NOT total EQUAL 1)
     "violating fixture: violation_count=${total}, expected 1")
 endif()
 foreach(id IN LISTS rule_ids)
-  if(id STREQUAL "hot-path-alloc")
+  if(id STREQUAL "layer-order")
     continue()
   endif()
   string(JSON count GET "${report}" rule_counts ${id})

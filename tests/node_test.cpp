@@ -7,6 +7,7 @@
 
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
+#include "workload/flow.hpp"
 #include "node/cell.hpp"
 #include "node/node.hpp"
 #include "node/pooled_queues.hpp"
@@ -47,6 +48,19 @@ Cell cell_no(std::int32_t k) {
   c.payload_bytes = 562 - k % 5;
   c.retries = k % 3;
   return c;
+}
+
+/// Workload flows that cell_no(0) ... cell_no(n - 1) belong to.
+std::vector<workload::Flow> flows_of_cells(std::int32_t n) {
+  std::vector<workload::Flow> flows(static_cast<std::size_t>(1000 + n));
+  for (std::int32_t k = 0; k < n; ++k) {
+    const Cell c = cell_no(k);
+    workload::Flow& f = flows[static_cast<std::size_t>(c.flow)];
+    f.id = c.flow;
+    f.dst_server = c.dst_server;
+    f.size = kCell * (k + 1);
+  }
+  return flows;
 }
 
 void write_cell(ckpt::Writer& w, const Cell& c) {
@@ -310,7 +324,7 @@ TEST(Node, CheckpointBytesMatchDequeReferences) {
 
   Node back(0, cc_cfg(), kCell);
   ckpt::Reader r(got.data());
-  ASSERT_TRUE(back.restore(r)) << r.error();
+  ASSERT_TRUE(back.restore(r, flows_of_cells(next))) << r.error();
   ckpt::Writer again;
   back.serialize(again);
   EXPECT_EQ(again.data(), want.data());
@@ -345,7 +359,7 @@ TEST(Node, RestoreRejectsLocalStateThatDisagreesWithItsFlows) {
     bad[at] = static_cast<char>(now);
     Node back(0, cc_cfg(), kCell);
     ckpt::Reader r(bad);
-    EXPECT_FALSE(back.restore(r));
+    EXPECT_FALSE(back.restore(r, {}));
     return r.error();
   };
   EXPECT_NE(rejects(total_cells_at, 2, 3).find("LOCAL flow state"),
@@ -353,7 +367,43 @@ TEST(Node, RestoreRejectsLocalStateThatDisagreesWithItsFlows) {
   EXPECT_NE(rejects(cursor_at, 0, 1).find("LOCAL cursor"), std::string::npos);
   Node back(0, cc_cfg(), kCell);
   ckpt::Reader r(bytes);
-  EXPECT_TRUE(back.restore(r)) << r.error();
+  EXPECT_TRUE(back.restore(r, {})) << r.error();
+}
+
+TEST(Node, RestoreRejectsQueuedCellsOutsideTheWorkload) {
+  // Delivery indexes per-flow receive state by a cell's flow and seq and a
+  // server's downlink by its destination server, so a snapshot may hold
+  // only cells its workload can have cut.
+  const std::vector<workload::Flow> flows = flows_of_cells(1);
+  const Cell c = cell_no(0);
+  Node n(0, cc_cfg(), kCell);
+  n.push_vq(2, c);
+  ckpt::Writer w;
+  n.serialize(w);
+  const std::string bytes = w.data();
+  ckpt::Writer cell;
+  write_cell(cell, c);
+  const std::size_t at = bytes.find(cell.data());
+  ASSERT_NE(at, std::string::npos);
+  const auto rejects = [&](std::size_t offset, std::int32_t value) {
+    std::string bad = bytes;
+    ckpt::Writer v;
+    v.i32(value);
+    bad.replace(at + offset, 4, v.data());
+    Node back(0, cc_cfg(), kCell);
+    ckpt::Reader r(bad);
+    EXPECT_FALSE(back.restore(r, flows));
+    return r.error();
+  };
+  // The cell's fields: flow (i64, low word first), seq, dst node, dst
+  // server. Flow 1001 does not exist, flow 1000 has one cell, and its
+  // destination server is 0.
+  EXPECT_NE(rejects(0, 1001).find("outside the workload"), std::string::npos);
+  EXPECT_NE(rejects(8, 1).find("outside the workload"), std::string::npos);
+  EXPECT_NE(rejects(16, 3).find("outside the workload"), std::string::npos);
+  Node back(0, cc_cfg(), kCell);
+  ckpt::Reader r(bytes);
+  EXPECT_TRUE(back.restore(r, flows)) << r.error();
 }
 
 TEST(Node, OccupancyTracksForwardAndVirtualQueues) {

@@ -1,5 +1,5 @@
 // Pass 1 (structural scanner) and pass 2 (cross-file rules) of the
-// determinism and hot-path analyzer. See index.hpp for the architecture
+// determinism and layering analyzer. See index.hpp for the architecture
 // overview and docs/STATIC_ANALYSIS.md for the rule table.
 //
 // The scanner walks the scrubbed code view character by character keeping a
@@ -81,7 +81,7 @@ bool has_any_token(const std::string& s,
 
 /// Control keywords a misread definition head could surface as a
 /// "function" name; never record them as definitions or declarations (a
-/// phantom `if` entry would wire every if-statement into the call graph).
+/// phantom `if` entry would count every if-statement as a call site).
 bool is_cpp_keyword(const std::string& name) {
   static const std::set<std::string> kKeywords = {
       "if",     "else",    "for",      "while",         "do",
@@ -92,9 +92,9 @@ bool is_cpp_keyword(const std::string& name) {
   return kKeywords.count(name) != 0;
 }
 
-/// Strips SIRIUS_* macros (SIRIUS_HOT) and alignas(...) from a statement
-/// (with or without an argument list), so declarations classify the same
-/// annotated and bare.
+/// Strips SIRIUS_* macros and alignas(...) from a statement (with or
+/// without an argument list), so declarations classify the same annotated
+/// and bare.
 std::string strip_attr_macros(const std::string& s) {
   static const std::regex with_args(
       R"((\bSIRIUS_[A-Z_]+|\balignas)\s*\(([^()]|\([^()]*\))*\))");
@@ -152,32 +152,6 @@ std::string strip_brackets(const std::string& s) {
   return std::regex_replace(s, re, "");
 }
 
-/// Removes the contents of template argument lists, keeping the <>, so
-/// `std::function<void(Foo&)>` stops looking like it has a ref/paren.
-std::string strip_angle_contents(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  int angle = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    const char prev = i > 0 ? s[i - 1] : '\0';
-    const char next = i + 1 < s.size() ? s[i + 1] : '\0';
-    if (c == '<' && next != '<' && prev != '<' && i > 0 &&
-        (ident_char(prev) || prev == ':' || prev == '>')) {
-      if (angle == 0) out += '<';
-      ++angle;
-      continue;
-    }
-    if (c == '>' && angle > 0 && prev != '-') {
-      --angle;
-      if (angle == 0) out += '>';
-      continue;
-    }
-    if (angle == 0) out += c;
-  }
-  return out;
-}
-
 /// Declaration name: last identifier token of the declarator part (array
 /// extents stripped). Empty when the text has fewer than two identifier
 /// tokens (not a type+name declaration).
@@ -191,10 +165,7 @@ std::string decl_name(const std::string& decl) {
 struct Scope {
   enum Kind { kNamespace, kClass, kEnum, kFunction, kBlock, kInit };
   Kind kind = kBlock;
-  std::string name;       // class name / function name
-  bool is_lambda = false; // Function scopes only: a lambda body (named after
-                          // its enclosing function so per-line attribution
-                          // and hot-path reachability see through it)
+  std::string name;  // class name / function name ("" for a lambda body)
 };
 
 struct Pending {
@@ -211,7 +182,6 @@ class Scanner {
     idx_.effective_path = effective_path;
     idx_.kind = kind;
     idx_.lines = split_lines(scrub(text, &idx_.comments));
-    idx_.enclosing_fn.assign(idx_.lines.size(), "");
     collect_includes(text);
     collect_allows();
   }
@@ -221,7 +191,6 @@ class Scanner {
     bool in_preprocessor = false;  // inside a #directive (incl. \-continued)
     for (std::size_t li = 0; li < idx_.lines.size(); ++li) {
       line_ = static_cast<int>(li);
-      record_line_state(li);
       const std::string& ln = idx_.lines[li];
       const auto first = ln.find_first_not_of(" \t");
       if (in_preprocessor ||
@@ -270,13 +239,6 @@ class Scanner {
     }
   }
 
-  const Scope* innermost_fn() const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->kind == Scope::kFunction) return &*it;
-    }
-    return nullptr;
-  }
-
   /// The scope that gives a `;`-terminated statement its meaning: the
   /// innermost function, class, or namespace (Init/Block/Enum are
   /// transparent). Returns nullptr at file scope.
@@ -288,10 +250,6 @@ class Scanner {
       }
     }
     return nullptr;
-  }
-
-  void record_line_state(std::size_t li) {
-    if (const Scope* fn = innermost_fn()) idx_.enclosing_fn[li] = fn->name;
   }
 
   void scan_line(const std::string& ln) {
@@ -339,13 +297,11 @@ class Scanner {
     const int head_line = p.first_line < 0 ? line_ : p.first_line;
     scopes_.push_back(classify_brace(raw));
     const Scope& s = scopes_.back();
-    if (s.kind == Scope::kFunction && !s.is_lambda && !s.name.empty() &&
+    if (s.kind == Scope::kFunction && !s.name.empty() &&
         !is_cpp_keyword(s.name)) {
       FunctionDef fd;
       fd.name = s.name;
       fd.line = head_line + 1;
-      fd.hot = has_token(raw, "SIRIUS_HOT");
-      fd.signature = trim(strip_attr_macros(raw));
       // The defining scope, seen from outside this new function scope.
       if (scopes_.size() >= 2) {
         for (auto it = std::next(scopes_.rbegin()); it != scopes_.rend();
@@ -360,27 +316,9 @@ class Scanner {
       idx_.fns.push_back(fd);
       if (!fd.klass.empty()) {
         // An in-class definition is also a declaration: record it so the
-        // virtual-dispatch rule sees inline-defined virtual methods.
-        MethodDecl md;
-        md.klass = fd.klass;
-        md.name = fd.name;
-        md.line = fd.line;
-        md.hot = fd.hot;
-        md.is_virtual = has_token(fd.signature, "virtual");
-        md.is_final = has_token(fd.signature, "final");
-        md.signature = fd.signature;
-        idx_.decls.push_back(md);
+        // dead-public-symbol report sees inline-defined methods.
+        idx_.decls.push_back(MethodDecl{fd.klass, fd.name, fd.line});
       }
-    } else if (s.kind == Scope::kClass && !s.name.empty()) {
-      ClassDecl cd;
-      cd.name = s.name;
-      cd.line = head_line + 1;
-      cd.is_final = has_token(trim(strip_attr_macros(raw)), "final");
-      idx_.classes.push_back(cd);
-    }
-    if (s.kind == Scope::kFunction) {
-      // A function opening on this line affects the rest of it.
-      record_line_state(static_cast<std::size_t>(line_));
     }
     pendings_.push_back(Pending{});
   }
@@ -397,16 +335,6 @@ class Scanner {
     }
   }
 
-  /// A lambda body counts as part of its enclosing function: per-line
-  /// attribution and hot-path reachability both see through it (a lambda
-  /// defined inside a hot function runs on the hot path).
-  void make_lambda(Scope& s) const {
-    s.kind = Scope::kFunction;
-    s.is_lambda = true;
-    const Scope* fn = innermost_fn();
-    s.name = fn ? fn->name : "<lambda>";
-  }
-
   /// Decides what kind of scope a `{` opens, from the statement text
   /// accumulated since the last boundary. Mirrors the decision table in
   /// docs/STATIC_ANALYSIS.md; unknown shapes become transparent kInit so a
@@ -416,12 +344,9 @@ class Scanner {
     if (pendings_.back().paren_depth > 0) {
       // `{` inside an argument list: a lambda body (capture list present)
       // or an initialiser-list argument. Both leave the outer statement
-      // alone; a lambda additionally becomes the enclosing function.
-      if (raw_pending.find('[') != std::string::npos) {
-        make_lambda(s);
-      } else {
-        s.kind = Scope::kInit;
-      }
+      // alone; a lambda body is an unnamed function scope.
+      s.kind = raw_pending.find('[') != std::string::npos ? Scope::kFunction
+                                                          : Scope::kInit;
       return s;
     }
     const std::string pending = trim(strip_attr_macros(raw_pending));
@@ -470,11 +395,8 @@ class Scanner {
     if (eq != std::string::npos) {
       // `x = [captures](args)` opens a lambda body; any other initialiser
       // brace is transparent.
-      if (pending.find('[', eq) != std::string::npos) {
-        make_lambda(s);
-      } else {
-        s.kind = Scope::kInit;
-      }
+      s.kind = pending.find('[', eq) != std::string::npos ? Scope::kFunction
+                                                          : Scope::kInit;
       return s;
     }
     if (paren != std::string::npos) {
@@ -526,12 +448,7 @@ class Scanner {
     if (gparen != std::string::npos) {  // free-function declaration
       const auto head_toks = ident_tokens(trim(decl.substr(0, gparen)));
       if (!head_toks.empty() && !is_cpp_keyword(head_toks.back())) {
-        MethodDecl md;
-        md.name = head_toks.back();
-        md.line = line0 + 1;
-        md.hot = has_token(raw, "SIRIUS_HOT");
-        md.signature = decl;
-        idx_.decls.push_back(md);
+        idx_.decls.push_back(MethodDecl{"", head_toks.back(), line0 + 1});
       }
       return;
     }
@@ -583,15 +500,7 @@ class Scanner {
     if (mparen != std::string::npos) {  // method declaration
       const auto head_toks = ident_tokens(trim(decl.substr(0, mparen)));
       if (!head_toks.empty() && !is_cpp_keyword(head_toks.back())) {
-        MethodDecl md;
-        md.klass = klass;
-        md.name = head_toks.back();
-        md.line = line0 + 1;
-        md.hot = has_token(raw, "SIRIUS_HOT");
-        md.is_virtual = has_token(decl, "virtual");
-        md.is_final = has_token(decl, "final");
-        md.signature = decl;
-        idx_.decls.push_back(md);
+        idx_.decls.push_back(MethodDecl{klass, head_toks.back(), line0 + 1});
       }
       return;
     }
@@ -802,260 +711,6 @@ void rule_pointer_key_order(const std::vector<FileIndex>& files,
                "ordered container or comparator keyed on a pointer value: "
                "addresses differ run to run, so iteration order is not "
                "reproducible; key on a stable id instead");
-      }
-    }
-  }
-}
-
-// ---- hot-path call-graph rules ---------------------------------------------
-
-/// Names reachable from a SIRIUS_HOT function head over the conservative
-/// name-keyed call graph. Call sites are identifier-followed-by-`(`
-/// occurrences inside function bodies, filtered to names the scanned set
-/// defines or declares; same-named functions merge, so reachability
-/// over-approximates (a false positive is silenced with allow(), a miss
-/// would let an allocation into the slot kernel).
-struct HotClosure {
-  std::set<std::string> hot;
-};
-
-HotClosure build_hot_closure(const std::vector<FileIndex>& files) {
-  std::set<std::string> known;
-  std::set<std::string> seeds;
-  for (const FileIndex& f : files) {
-    for (const FunctionDef& fn : f.fns) {
-      known.insert(fn.name);
-      if (fn.hot) seeds.insert(fn.name);
-    }
-    for (const MethodDecl& d : f.decls) {
-      known.insert(d.name);
-      if (d.hot) seeds.insert(d.name);
-    }
-  }
-  static const std::regex call_re(R"(([A-Za-z_][A-Za-z0-9_]*)\s*\()");
-  std::map<std::string, std::set<std::string>> edges;
-  for (const FileIndex& f : files) {
-    for (std::size_t li = 0; li < f.lines.size(); ++li) {
-      const std::string& caller = f.enclosing_fn[li];
-      if (caller.empty()) continue;
-      for (auto it = std::sregex_iterator(f.lines[li].begin(),
-                                          f.lines[li].end(), call_re);
-           it != std::sregex_iterator(); ++it) {
-        const std::string callee = (*it)[1].str();
-        if (callee != caller && known.count(callee) != 0) {
-          edges[caller].insert(callee);
-        }
-      }
-    }
-  }
-  HotClosure hc;
-  hc.hot = seeds;
-  std::vector<std::string> stack(seeds.begin(), seeds.end());
-  while (!stack.empty()) {
-    const std::string cur = stack.back();
-    stack.pop_back();
-    const auto eit = edges.find(cur);
-    if (eit == edges.end()) continue;
-    for (const std::string& nxt : eit->second) {
-      if (hc.hot.insert(nxt).second) stack.push_back(nxt);
-    }
-  }
-  return hc;
-}
-
-bool line_is_hot(const HotClosure& hc, const FileIndex& f, std::size_t li) {
-  const std::string& fn = f.enclosing_fn[li];
-  return !fn.empty() && hc.hot.count(fn) != 0;
-}
-
-void rule_hot_path_alloc(const std::vector<FileIndex>& files,
-                         const HotClosure& hc, std::vector<Violation>& out) {
-  static const std::regex alloc_re(
-      R"(\bnew\b|\b(?:malloc|calloc|realloc)\s*\(|\bmake_(?:unique|shared)\s*<)");
-  static const std::regex func_re(R"(std\s*::\s*function\s*<)");
-  static const std::regex grow_re(
-      R"(\b([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[[^\]]*\]\s*)*\.\s*(push_back|emplace_back|push_front|emplace_front|emplace|insert|resize)\s*\()");
-  static const std::regex presize_re(
-      R"(\b([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[[^\]]*\]\s*)*\.\s*(?:reserve|resize|assign)\s*\()");
-
-  // Pre-sizing sites anywhere in the scanned set exempt growth calls on the
-  // same base identifier (the reserve-in-ctor pattern). A line cannot exempt
-  // itself, so a bare hot-path resize still fires.
-  struct Site {
-    std::size_t file;
-    std::size_t line;
-  };
-  std::map<std::string, std::vector<Site>> presized;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    for (std::size_t li = 0; li < files[i].lines.size(); ++li) {
-      for (auto it = std::sregex_iterator(files[i].lines[li].begin(),
-                                          files[i].lines[li].end(), presize_re);
-           it != std::sregex_iterator(); ++it) {
-        presized[(*it)[1].str()].push_back(Site{i, li});
-      }
-    }
-  }
-  const auto exempt = [&presized](const std::string& base, std::size_t fi,
-                                  std::size_t li) {
-    const auto it = presized.find(base);
-    if (it == presized.end()) return false;
-    for (const Site& s : it->second) {
-      if (s.file != fi || s.line != li) return true;
-    }
-    return false;
-  };
-
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const FileIndex& f = files[i];
-    if (!f.kind.is_src) continue;
-    for (std::size_t li = 0; li < f.lines.size(); ++li) {
-      if (!line_is_hot(hc, f, li)) continue;
-      const std::string& text = f.lines[li];
-      const int line1 = static_cast<int>(li) + 1;
-      if (std::regex_search(text, alloc_re)) {
-        report(out, f, line1, "hot-path-alloc",
-               "heap allocation in `" + f.enclosing_fn[li] +
-                   "`, reachable from a SIRIUS_HOT entry point: the slot "
-                   "kernel must be pre-sized; allocate at construction or "
-                   "allow() with an ALLOWLIST.md entry");
-        continue;
-      }
-      if (std::regex_search(text, func_re) &&
-          text.find('&') == std::string::npos) {
-        report(out, f, line1, "hot-path-alloc",
-               "std::function construction in `" + f.enclosing_fn[li] +
-                   "`, reachable from a SIRIUS_HOT entry point: capture "
-                   "state at init and pass a reference, or devirtualize "
-                   "the callback");
-        continue;
-      }
-      for (auto it = std::sregex_iterator(text.begin(), text.end(), grow_re);
-           it != std::sregex_iterator(); ++it) {
-        const std::string base = (*it)[1].str();
-        if (exempt(base, i, li)) continue;
-        report(out, f, line1, "hot-path-alloc",
-               "`" + base + "." + (*it)[2].str() + "()` in `" +
-                   f.enclosing_fn[li] +
-                   "`, reachable from a SIRIUS_HOT entry point, grows a "
-                   "container with no reserve()/resize() site anywhere in "
-                   "the tree: pre-size it at construction or allow() with "
-                   "an ALLOWLIST.md entry");
-      }
-    }
-  }
-}
-
-void rule_hot_path_virtual(const std::vector<FileIndex>& files,
-                           const HotClosure& hc, std::vector<Violation>& out) {
-  // Classes marked final anywhere in the scanned set.
-  std::set<std::string> final_classes;
-  for (const FileIndex& f : files) {
-    for (const ClassDecl& c : f.classes) {
-      if (c.is_final) final_classes.insert(c.name);
-    }
-  }
-  // Devirtualizable = declared virtual, not a final method, not on a final
-  // class. Ctors/dtors (name == class) are skipped: constructing on the hot
-  // path is the alloc rule's business.
-  std::map<std::string, std::string> virtuals;  // name -> Klass::name
-  for (const FileIndex& f : files) {
-    for (const MethodDecl& d : f.decls) {
-      if (!d.is_virtual || d.is_final || d.name == d.klass) continue;
-      if (final_classes.count(d.klass) != 0) continue;
-      virtuals.emplace(d.name, d.klass.empty() ? d.name
-                                               : d.klass + "::" + d.name);
-    }
-  }
-  if (virtuals.empty()) return;
-  static const std::regex call_re(R"(([A-Za-z_][A-Za-z0-9_]*)\s*\()");
-  for (const FileIndex& f : files) {
-    if (!f.kind.is_src) continue;
-    for (std::size_t li = 0; li < f.lines.size(); ++li) {
-      if (!line_is_hot(hc, f, li)) continue;
-      for (auto it = std::sregex_iterator(f.lines[li].begin(),
-                                          f.lines[li].end(), call_re);
-           it != std::sregex_iterator(); ++it) {
-        const auto vit = virtuals.find((*it)[1].str());
-        if (vit == virtuals.end()) continue;
-        report(out, f, static_cast<int>(li) + 1, "hot-path-virtual",
-               "call to virtual `" + vit->second + "` in `" +
-                   f.enclosing_fn[li] +
-                   "`, reachable from a SIRIUS_HOT entry point: mark the "
-                   "method or its class `final` so the slot kernel "
-                   "dispatches statically, or allow() with an ALLOWLIST.md "
-                   "entry");
-        break;  // one report per line
-      }
-    }
-  }
-}
-
-void rule_hot_path_throw(const std::vector<FileIndex>& files,
-                         const HotClosure& hc, std::vector<Violation>& out) {
-  static const std::regex throw_re(
-      R"(\bthrow\b|\.\s*at\s*\(|\b(?:printf|fprintf|sprintf|snprintf|puts|fputs)\s*\(|std\s*::\s*(?:cout|cerr|clog)\b)");
-  for (const FileIndex& f : files) {
-    if (!f.kind.is_src) continue;
-    for (std::size_t li = 0; li < f.lines.size(); ++li) {
-      if (!line_is_hot(hc, f, li)) continue;
-      if (!std::regex_search(f.lines[li], throw_re)) continue;
-      report(out, f, static_cast<int>(li) + 1, "hot-path-throw",
-             "throw/stdio in `" + f.enclosing_fn[li] +
-                 "`, reachable from a SIRIUS_HOT entry point: the slot "
-                 "kernel cannot unwind or block on I/O; report through "
-                 "bound instruments or the invariant sink instead");
-    }
-  }
-}
-
-void rule_hot_path_copy(const std::vector<FileIndex>& files,
-                        const HotClosure& hc, std::vector<Violation>& out) {
-  for (const FileIndex& f : files) {
-    if (!f.kind.is_src) continue;
-    for (const FunctionDef& fn : f.fns) {
-      if (hc.hot.count(fn.name) == 0) continue;
-      const std::size_t open = fn.signature.find('(');
-      if (open == std::string::npos) continue;
-      // Matching close paren of the parameter list.
-      int depth = 0;
-      std::size_t close = std::string::npos;
-      for (std::size_t k = open; k < fn.signature.size(); ++k) {
-        if (fn.signature[k] == '(') ++depth;
-        if (fn.signature[k] == ')' && --depth == 0) {
-          close = k;
-          break;
-        }
-      }
-      if (close == std::string::npos || close <= open + 1) continue;
-      const std::string params = strip_angle_contents(
-          fn.signature.substr(open + 1, close - open - 1));
-      // Split on top-level commas.
-      std::vector<std::string> parts;
-      depth = 0;
-      std::size_t start = 0;
-      for (std::size_t k = 0; k <= params.size(); ++k) {
-        if (k == params.size() || (params[k] == ',' && depth == 0)) {
-          parts.push_back(trim(params.substr(start, k - start)));
-          start = k + 1;
-        } else if (params[k] == '(' || params[k] == '[') {
-          ++depth;
-        } else if (params[k] == ')' || params[k] == ']') {
-          --depth;
-        }
-      }
-      for (const std::string& p : parts) {
-        if (p.find('&') != std::string::npos ||
-            p.find('*') != std::string::npos) {
-          continue;
-        }
-        if (has_any_token(p, {"vector", "map", "set", "deque", "string",
-                              "function", "unordered_map", "unordered_set",
-                              "multimap", "multiset"})) {
-          report(out, f, fn.line, "hot-path-copy",
-                 "parameter `" + p + "` of SIRIUS_HOT-reachable `" + fn.name +
-                     "` passes an indexed container by value: take it by "
-                     "const reference so the slot kernel never deep-copies");
-        }
       }
     }
   }
@@ -1297,11 +952,6 @@ std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
   rule_mutable_global(files, out);
   rule_unordered_sim_state(files, out);
   rule_pointer_key_order(files, out);
-  const HotClosure hc = build_hot_closure(files);
-  rule_hot_path_alloc(files, hc, out);
-  rule_hot_path_virtual(files, hc, out);
-  rule_hot_path_throw(files, hc, out);
-  rule_hot_path_copy(files, hc, out);
   rule_layer_order(files, out);
   rule_include_cycle(files, out);
   rule_duplicate_include(files, out);

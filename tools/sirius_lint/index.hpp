@@ -1,11 +1,11 @@
-// Pass 1 of the two-pass determinism and hot-path analyzer: per-file symbol
+// Pass 1 of the two-pass determinism and layering analyzer: per-file symbol
 // extraction.
 //
 // sirius-lint grew beyond line-local regexes when it needed rules about
 // *state*, not tokens: mutable globals and container fields whose iteration
 // order leaks into results. Those need to know what a file *declares*, and
 // one of them (no-unordered-sim-state) needs the include graph of the whole
-// scanned set; the hot-path rules need a call graph.
+// scanned set.
 //
 // So the linter runs in two passes:
 //
@@ -14,8 +14,8 @@
 //     stack (namespace / class / function / block / brace-init) well enough
 //     to extract a FileIndex: namespace-scope and function-`static` mutable
 //     variables, class fields with their declared type text, `#include`
-//     edges, function heads and declarations, per-line enclosing-function
-//     names, and every `sirius-lint: allow(...)` suppression site.
+//     edges, function heads and declarations, and every
+//     `sirius-lint: allow(...)` suppression site.
 //
 //   pass 2 (evaluate_tree): the merged index is evaluated against the
 //     cross-file rules (see docs/STATIC_ANALYSIS.md for the
@@ -69,35 +69,19 @@ struct IncludeEdge {
 };
 
 /// A function definition head (free function, out-of-line method, or
-/// in-class inline method). Keyed by unqualified name: the call graph in
-/// pass 2 is deliberately name-conservative (same-named functions merge),
-/// so hot-path reachability over-approximates rather than misses.
+/// in-class inline method), keyed by unqualified name.
 struct FunctionDef {
   std::string klass;  ///< enclosing class when defined in-class ("" else)
   std::string name;   ///< unqualified name
   int line = 0;       ///< 1-based line of the definition head
-  bool hot = false;   ///< head carries SIRIUS_HOT
-  std::string signature;  ///< head text, macros stripped (for the copy rule)
 };
 
-/// A `;`-terminated function/method declaration (class body or namespace
-/// scope). Feeds hot-root marking, the virtual-dispatch rule, and the
-/// dead-public-symbol report.
+/// A function/method declaration (class body or namespace scope; an
+/// in-class definition counts too). Feeds the dead-public-symbol report.
 struct MethodDecl {
   std::string klass;  ///< "" for free-function declarations
   std::string name;
   int line = 0;  ///< 1-based
-  bool hot = false;
-  bool is_virtual = false;
-  bool is_final = false;
-  std::string signature;  ///< declaration text, macros stripped
-};
-
-/// A class/struct definition head.
-struct ClassDecl {
-  std::string name;
-  int line = 0;          ///< 1-based
-  bool is_final = false;
 };
 
 /// Everything pass 1 knows about one file.
@@ -110,12 +94,10 @@ struct FileIndex {
   std::vector<GlobalVar> globals;
   std::vector<AllowSite> allows;
   std::vector<FunctionDef> fns;      ///< function definition heads
-  std::vector<MethodDecl> decls;     ///< `;`-terminated fn/method decls
-  std::vector<ClassDecl> classes;    ///< class/struct definition heads
-  // Per-line structural context, 0-based, parallel to `lines`.
-  std::vector<std::string> lines;         ///< scrubbed code lines
-  std::vector<std::string> comments;      ///< comment text per line
-  std::vector<std::string> enclosing_fn;  ///< innermost function name, "" = none
+  std::vector<MethodDecl> decls;     ///< fn/method declarations
+  // Per-line text, 0-based.
+  std::vector<std::string> lines;     ///< scrubbed code lines
+  std::vector<std::string> comments;  ///< comment text per line
 };
 
 /// Runs the pass-1 scanner over one file's contents. `reported_path` is what

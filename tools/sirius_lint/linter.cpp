@@ -138,17 +138,6 @@ constexpr RuleInfo kPass2Rules[] = {
     {"allowlist-sync",
      "every sirius-lint: allow(...) site must be recorded in "
      "tools/sirius_lint/ALLOWLIST.md, and vice versa"},
-    {"hot-path-alloc",
-     "no heap allocation, container growth on unreserved containers, or "
-     "std::function construction reachable from a SIRIUS_HOT entry point"},
-    {"hot-path-virtual",
-     "no virtual dispatch through non-final methods/classes reachable from "
-     "a SIRIUS_HOT entry point"},
-    {"hot-path-throw",
-     "no throw / .at() / stdio reachable from a SIRIUS_HOT entry point"},
-    {"hot-path-copy",
-     "SIRIUS_HOT-reachable functions must not take indexed containers by "
-     "value"},
     {"layer-order",
      "quoted includes in src/ must follow the declared layer matrix "
      "(common -> check -> leaf modules -> node/sched/ctrl -> sim -> esn -> "
