@@ -1,6 +1,7 @@
-# Correctness-tooling knobs: sanitizers, warnings-as-errors, clang-tidy and
-# the invariant auditing mode. Included from the top-level CMakeLists; the
-# presets in CMakePresets.json are thin wrappers over these options.
+# Correctness-tooling knobs: sanitizers, warnings-as-errors and clang-tidy.
+# Included from the top-level CMakeLists; the presets in CMakePresets.json
+# are thin wrappers over these options. Invariant audits and telemetry have
+# no switch: every build compiles them in.
 
 # SIRIUS_SANITIZE is a semicolon list of sanitizers, e.g. "address;undefined"
 # or "thread". Applied to every target (compile + link).
@@ -9,20 +10,6 @@ set(SIRIUS_SANITIZE "" CACHE STRING
 
 option(SIRIUS_WERROR "Treat compiler warnings as errors" OFF)
 option(SIRIUS_LINT "Run clang-tidy over src/ (needs clang-tidy in PATH)" OFF)
-option(SIRIUS_AUDIT
-       "Compile SIRIUS_INVARIANT as runtime-checked audits (plain assert() \
-when OFF)" ON)
-option(SIRIUS_TELEMETRY
-       "Compile the telemetry macros (SIRIUS_CELL_EVENT, \
-SIRIUS_PROFILE_SCOPE) as live sinks; OFF compiles them away entirely" ON)
-
-if(SIRIUS_AUDIT)
-  add_compile_definitions(SIRIUS_AUDIT)
-endif()
-
-if(SIRIUS_TELEMETRY)
-  add_compile_definitions(SIRIUS_TELEMETRY)
-endif()
 
 if(SIRIUS_WERROR)
   add_compile_options(-Werror)

@@ -6,18 +6,14 @@
 // congestion-control bound Q, cells are conserved end to end, reorder
 // buffers release in order, event time never runs backwards, and clocks stay
 // mutually synchronised after convergence. SIRIUS_INVARIANT(cond, fmt, ...)
-// is how modules state those properties in code:
+// is how modules state those properties in code.
 //
-//   * In audited builds (-DSIRIUS_AUDIT, on by default — see the
-//     SIRIUS_AUDIT CMake option) a failed condition is routed to the global
-//     InvariantContext. In InvariantMode::kAbort (default) it prints a
-//     formatted report and aborts, like an assert with context. In
-//     InvariantMode::kCollect it records the violation and returns, letting
-//     the caller continue on a defensive path — used by tests that
-//     deliberately violate invariants and by long sweeps that want a tally
-//     instead of a crash.
-//   * Without SIRIUS_AUDIT the macro compiles down to a plain assert(),
-//     keeping the condition but dropping the formatting machinery.
+// A failed condition is routed to the global InvariantContext, in every
+// build. In InvariantMode::kAbort (default) it prints a formatted report
+// and aborts, like an assert with context. In InvariantMode::kCollect it
+// records the violation and returns, letting the caller continue on a
+// defensive path — used by tests that deliberately violate invariants and
+// by long sweeps that want a tally instead of a crash.
 //
 // The macro is safe to use inside constexpr functions: the failure branch
 // calls a non-constexpr function, so a violation during constant evaluation
@@ -100,7 +96,6 @@ class ScopedCollect {
 
 }  // namespace sirius::check
 
-#if defined(SIRIUS_AUDIT)
 #define SIRIUS_INVARIANT(cond, ...)                                       \
   do {                                                                    \
     if (!(cond)) {                                                        \
@@ -108,7 +103,3 @@ class ScopedCollect {
           __FILE__, __LINE__, #cond, __VA_ARGS__);                        \
     }                                                                     \
   } while (false)
-#else
-#include <cassert>
-#define SIRIUS_INVARIANT(cond, ...) assert(cond)
-#endif

@@ -209,8 +209,8 @@ EsnSimResult EsnFluidSim::run() {
     }
 
     {
-      SIRIUS_PROFILE_SCOPE(hub_->profiler(),
-                           telemetry::ProfScope::kEsnRates);
+      telemetry::ScopedTimer rates_timer(hub_->profiler(),
+                                         telemetry::ProfScope::kEsnRates);
       recompute_rates();
     }
     c_recomputes_->inc();

@@ -8,11 +8,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "ckpt/io.hpp"
 #include "common/units.hpp"
-#include "workload/flow.hpp"
 
 namespace sirius::node {
 
@@ -52,22 +50,6 @@ inline Cell get_cell(ckpt::Reader& r) {
 /// Number of cells needed for `size` bytes with `capacity` bytes per cell.
 [[nodiscard]] inline std::int64_t cells_for(DataSize size, DataSize capacity) {
   return div_ceil(size, capacity);
-}
-
-/// Whether `c` can be a cell of one of `flows` (a prefix of a workload's
-/// flows, indexed by id) cut `capacity` bytes at a time: the flow is there,
-/// the seq is below its cell count, and the cell heads to its destination
-/// server. Restore checks every cell it reads this way, since delivery
-/// indexes per-flow and per-server state with them.
-[[nodiscard]] inline bool in_workload(const Cell& c,
-                                      std::span<const workload::Flow> flows,
-                                      DataSize capacity) {
-  if (c.flow < 0 || static_cast<std::uint64_t>(c.flow) >= flows.size()) {
-    return false;
-  }
-  const workload::Flow& f = flows[static_cast<std::size_t>(c.flow)];
-  return c.seq >= 0 && c.seq < cells_for(f.size, capacity) &&
-         c.dst_server == f.dst_server;
 }
 
 }  // namespace sirius::node

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "cc/request_grant.hpp"
@@ -194,9 +193,17 @@ class Node {
   /// state and the occupancy gauge — the complete data-plane state of this
   /// node.
   void serialize(ckpt::Writer& w) const;
-  /// Every queued cell must belong to one of `flows` (see in_workload),
-  /// the flows injected so far.
-  bool restore(ckpt::Reader& r, std::span<const workload::Flow> flows);
+  /// Checks each queued cell's destination rack; the caller checks its flow
+  /// (see for_each_queued_cell).
+  bool restore(ckpt::Reader& r);
+
+  /// Calls `f(cell)` for every cell in this node's VQs, FQs and
+  /// retransmission queues.
+  template <typename F>
+  void for_each_queued_cell(F&& f) const {
+    for (std::size_t l = 0; l < queues_.lists(); ++l) queues_.for_each(l, f);
+    for (std::size_t l = 0; l < retx_.lists(); ++l) retx_.for_each(l, f);
+  }
 
  private:
   LocalFlow* oldest_pending_flow_for(NodeId dst, Time now, Time cell_interval);

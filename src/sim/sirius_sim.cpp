@@ -360,9 +360,6 @@ void SiriusSim::abort_rx_flow(FlowId flow) {
 }
 
 void SiriusSim::deliver(const node::Cell& cell, Time now) {
-  // Nested under kTransmit (direct delivery) or kLandInject (fiber
-  // landing): the attribution tree shows which path delivery cost rides.
-  SIRIUS_PROFILE_SCOPE(hub_->profiler(), telemetry::ProfScope::kDeliver);
   RxFlow* rxp = rx_of(cell.flow);
   SIRIUS_INVARIANT(rxp != nullptr, "cell delivered for unknown flow %lld",
                    static_cast<long long>(cell.flow));
@@ -1071,14 +1068,15 @@ SiriusSimResult SiriusSim::run() {
   // The cursor is a member: a restored sim re-enters here mid-run and
   // continues from the snapshot's slot.
   for (; flows_remaining_ > 0 && slot_ < hard_stop; ++slot_) {
-    SIRIUS_PROFILE_SCOPE(hub_->profiler(), telemetry::ProfScope::kSlotLoop);
+    telemetry::ScopedTimer slot_timer(hub_->profiler(),
+                                      telemetry::ProfScope::kSlotLoop);
     const Time now = cfg_.slots.slot_start(slot_);
     // Checkpoint before any slot work: the top of the slot is the one
     // point where the cell ledger is guaranteed consistent (everything is
     // delivered, queued, in flight, or dropped — never mid-move).
     if (cfg_.checkpoint_sink && now >= next_checkpoint_) {
-      SIRIUS_PROFILE_SCOPE(hub_->profiler(),
-                           telemetry::ProfScope::kCheckpoint);
+      telemetry::ScopedTimer ckpt_timer(hub_->profiler(),
+                                        telemetry::ProfScope::kCheckpoint);
       cfg_.checkpoint_sink(slot_, now, checkpoint_state());
       while (next_checkpoint_ <= now) {
         next_checkpoint_ += cfg_.checkpoint_every;
@@ -1091,20 +1089,21 @@ SiriusSimResult SiriusSim::run() {
       // A swap rebases the round phase at this very slot, so the round
       // index is stable across it.
       if (faults_active_) {
-        SIRIUS_PROFILE_SCOPE(hub_->profiler(),
-                             telemetry::ProfScope::kFailover);
+        telemetry::ScopedTimer failover_timer(hub_->profiler(),
+                                              telemetry::ProfScope::kFailover);
         round_boundary_failover(round, slot_, now);
       }
       {
-        SIRIUS_PROFILE_SCOPE(hub_->profiler(),
-                             telemetry::ProfScope::kEpochCc);
+        telemetry::ScopedTimer epoch_timer(hub_->profiler(),
+                                           telemetry::ProfScope::kEpochCc);
         epoch_boundary(round, now);
       }
       // Audit between phases, where the ledger is consistent: cells are
       // delivered, queued, or in an in_flight_ bucket, never mid-move.
       if (cfg_.audit_period_rounds > 0 &&
           round % cfg_.audit_period_rounds == 0) {
-        SIRIUS_PROFILE_SCOPE(hub_->profiler(), telemetry::ProfScope::kAudit);
+        telemetry::ScopedTimer audit_timer(hub_->profiler(),
+                                           telemetry::ProfScope::kAudit);
         audit_slot_ = slot_ - round_base_slot_;
         auditors_.run_all();
       }
@@ -1112,19 +1111,21 @@ SiriusSimResult SiriusSim::run() {
       // the sampler decide whether a row is due. Reads sim state, never
       // writes it.
       if (hub_->metrics_enabled()) {
-        SIRIUS_PROFILE_SCOPE(hub_->profiler(), telemetry::ProfScope::kStats);
+        telemetry::ScopedTimer stats_timer(hub_->profiler(),
+                                           telemetry::ProfScope::kStats);
         update_gauges();
         hub_->maybe_sample(now);
       }
     }
     {
-      SIRIUS_PROFILE_SCOPE(hub_->profiler(),
-                           telemetry::ProfScope::kLandInject);
+      telemetry::ScopedTimer land_timer(hub_->profiler(),
+                                        telemetry::ProfScope::kLandInject);
       inject_arrivals(now);
       land_arrivals(slot_, now);
     }
     {
-      SIRIUS_PROFILE_SCOPE(hub_->profiler(), telemetry::ProfScope::kTransmit);
+      telemetry::ScopedTimer transmit_timer(hub_->profiler(),
+                                            telemetry::ProfScope::kTransmit);
       transmit_slot(slot_, now);
     }
     // Bisection replay: freeze at the first slot whose work recorded a
@@ -1460,6 +1461,17 @@ bool SiriusSim::restore_telemetry(ckpt::Reader& r) {
   return true;
 }
 
+bool SiriusSim::cell_has_rx(const node::Cell& c) const {
+  if (c.flow < 0 || static_cast<std::size_t>(c.flow) >= rx_index_.size()) {
+    return false;
+  }
+  const auto id = static_cast<std::size_t>(c.flow);
+  const std::uint32_t i = rx_index_[id];
+  return i != 0 && c.seq >= 0 &&
+         c.seq < rx_flows_[i - 1].reorder.total_cells() &&
+         c.dst_server == workload_.flows[id].dst_server;
+}
+
 bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
   if (!r.expect_tag(kTagMeta, "meta")) return false;
   const std::uint64_t fp = r.u64();
@@ -1492,9 +1504,6 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
     r.fail("flows-remaining count out of range");
   }
   if (!r.ok()) return false;
-  // Every queued, in-flight or timed cell belongs to an injected flow.
-  const auto injected = std::span<const workload::Flow>(workload_.flows)
-                            .first(static_cast<std::size_t>(next_flow));
 
   if (!r.expect_tag(kTagRng, "rng")) return false;
   Rng::State rs{};
@@ -1534,7 +1543,7 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
     return false;
   }
   for (node::Node& n : nodes_) {
-    if (!n.restore(r, injected)) return false;
+    if (!n.restore(r)) return false;
   }
 
   if (!r.expect_tag(kTagRx, "receive state")) return false;
@@ -1587,6 +1596,16 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
     rx.completion = Time::ps(comp_ps);
     rx.aborted = aborted;
   }
+  // The queues were read before the receive records they must match.
+  for (const node::Node& n : nodes_) {
+    bool ok = true;
+    n.for_each_queued_cell(
+        [this, &ok](const node::Cell& c) { ok = ok && cell_has_rx(c); });
+    if (!ok) {
+      r.fail("queued cell outside the workload");
+      return false;
+    }
+  }
   {
     const std::vector<std::int64_t> free_ps = r.vec_i64("server downlinks");
     if (!r.ok()) return false;
@@ -1618,7 +1637,7 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
         r.fail("in-flight cell addressed outside the rack range");
         return false;
       }
-      if (!node::in_workload(a.cell, injected, cfg_.slots.cell_size())) {
+      if (!cell_has_rx(a.cell)) {
         r.fail("in-flight cell outside the workload");
         return false;
       }
@@ -1703,8 +1722,8 @@ bool SiriusSim::restore_state_impl(ckpt::Reader& r) {
       }
       // Expiry indexes the flow's receive record and the destination's
       // retransmission queue.
-      if (!node::in_workload(t.cell, injected, cfg_.slots.cell_size()) ||
-          t.cell.dst_node < 0 || t.cell.dst_node >= cfg_.racks) {
+      if (!cell_has_rx(t.cell) || t.cell.dst_node < 0 ||
+          t.cell.dst_node >= cfg_.racks) {
         r.fail("retransmission timer for a cell outside the workload");
         return false;
       }

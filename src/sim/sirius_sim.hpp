@@ -109,7 +109,7 @@ struct SiriusSimConfig {
   /// disabled hub: the counters still count (they back SiriusSimResult)
   /// but nothing is recorded and no file is written. The hub is strictly
   /// write-only from the sim's point of view, so results are bit-identical
-  /// with telemetry attached, detached, or compiled out.
+  /// with telemetry attached or detached.
   telemetry::Hub* telemetry = nullptr;
   /// Periodic checkpoint cadence in simulated time (zero = disabled). At
   /// the first top-of-slot point at or after each multiple of
@@ -288,6 +288,12 @@ class SiriusSim {
     const std::uint32_t i = rx_index_[static_cast<std::size_t>(flow)];
     return i == 0 ? nullptr : &rx_flows_[i - 1];
   }
+  /// Whether `c` can be a cell of a flow with a receive record: the record
+  /// exists, the seq is below its cell count, and the cell heads to the
+  /// flow's destination server. Restore checks every queued, in-flight and
+  /// timed cell this way, since delivery and timer expiry index the record
+  /// and the server's downlink with them.
+  [[nodiscard]] bool cell_has_rx(const node::Cell& c) const;
   [[nodiscard]] std::span<std::uint64_t> pending_of(const RxFlow& rx) {
     return {rx_words_.data() + rx.words_at,
             node::ReorderBuffer::words_for(rx.reorder.total_cells())};

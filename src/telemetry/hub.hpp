@@ -5,13 +5,12 @@
 // and emit through it; a null pointer means "own disabled hub" — counters
 // still count (they replace what used to be ad-hoc int64 members) but no
 // sink records, no file is written and no wall clock is read. The
-// SIRIUS_CELL_EVENT macro compiles to nothing when SIRIUS_TELEMETRY is
-// undefined, and to a tracing()-guarded record otherwise, so the disabled
-// cost on the hot path is one pointer test and one branch.
+// SIRIUS_CELL_EVENT macro compiles to a tracing()-guarded record, so the
+// disabled cost on the hot path is one pointer test and one branch.
 //
 // Determinism: the hub is write-only from the simulator's point of view —
 // nothing the simulator reads ever depends on hub state, so results are
-// bit-identical with telemetry on, off, or compiled out. One Hub serves
+// bit-identical with telemetry on or off. One Hub serves
 // one run; attach a fresh hub per simulation.
 #pragma once
 
@@ -115,7 +114,6 @@ class Hub {
 
 }  // namespace sirius::telemetry
 
-#if defined(SIRIUS_TELEMETRY)
 /// Emits one cell-lifecycle event through `hub` (a Hub*, may be null).
 /// Arguments are not evaluated unless an event sink is live. Parameter
 /// names carry trailing underscores so they cannot capture the record's
@@ -136,7 +134,3 @@ class Hub {
       sirius_cell_event_hub->on_cell_event(sirius_cell_event_rec);         \
     }                                                                      \
   } while (false)
-#else
-#define SIRIUS_CELL_EVENT(hub_, ev_, at_, node_, peer_, dst_, flow_, seq_) \
-  static_cast<void>(0)
-#endif

@@ -25,16 +25,6 @@ void Manifest::add_build_info(JsonObject& b) {
   b.add("compiler", "unknown");
 #endif
   b.add_int("cxx_standard", static_cast<std::int64_t>(__cplusplus));
-#if defined(SIRIUS_AUDIT)
-  b.add_bool("sirius_audit", true);
-#else
-  b.add_bool("sirius_audit", false);
-#endif
-#if defined(SIRIUS_TELEMETRY)
-  b.add_bool("sirius_telemetry", true);
-#else
-  b.add_bool("sirius_telemetry", false);
-#endif
 #if defined(NDEBUG)
   b.add_bool("ndebug", true);
 #else

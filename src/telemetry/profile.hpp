@@ -7,8 +7,8 @@
 // Time — a profiled and an unprofiled run produce bit-identical
 // simulation results, they just burn different amounts of host CPU.
 //
-// Attribution is hierarchical: scopes nest (SIRIUS_PROFILE_SCOPE is RAII,
-// so entry/exit are strictly LIFO) and the profiler maintains a call tree
+// Attribution is hierarchical: scopes nest (ScopedTimer is RAII, so
+// entry/exit are strictly LIFO) and the profiler maintains a call tree
 // keyed by (parent, scope). Each tree node accounts *total* time (the
 // scope's own body plus everything profiled beneath it) and *self* time
 // (total minus the time attributed to profiled children), so the
@@ -16,9 +16,8 @@
 // double-counting nested scopes. flame_json() exports the same tree as a
 // flame-graph-style JSON document (docs/OBSERVABILITY.md).
 //
-// Usage: bind a Profiler, then put SIRIUS_PROFILE_SCOPE(profiler, scope)
-// at the top of a block. Disabled profilers cost one branch; without
-// SIRIUS_TELEMETRY the macro compiles away entirely.
+// Usage: bind a Profiler, then declare a named ScopedTimer(profiler, scope)
+// at the top of a block. Disabled profilers cost one branch.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,11 @@ enum class ProfScope : std::uint8_t {
   kFailover,       ///< §4.5 round-boundary failover work
   kAudit,          ///< invariant auditor sweeps
   kEsnRates,       ///< ESN fluid max-min rate recomputation
-  kDeliver,        ///< per-cell delivery: reorder insert + completion
+  kDeliver,        ///< never timed: clock reads per delivered cell cost
+                   ///< more than they measured, and the land+inject and
+                   ///< transmit scopes already cover delivery. Kept
+                   ///< because benchmark/'s node.deliver_ns_per_slot
+                   ///< reads it (and reports 0).
   kStats,          ///< gauge refresh + time-series sampling
   kCheckpoint,     ///< checkpoint_state serialization at the sink cadence
   kScopeCount,
@@ -143,14 +146,3 @@ class ScopedTimer {
 };
 
 }  // namespace sirius::telemetry
-
-#define SIRIUS_TELEMETRY_PP_CAT2(a, b) a##b
-#define SIRIUS_TELEMETRY_PP_CAT(a, b) SIRIUS_TELEMETRY_PP_CAT2(a, b)
-
-#if defined(SIRIUS_TELEMETRY)
-#define SIRIUS_PROFILE_SCOPE(profiler, scope)                      \
-  ::sirius::telemetry::ScopedTimer SIRIUS_TELEMETRY_PP_CAT(        \
-      sirius_prof_scope_, __LINE__)((profiler), (scope))
-#else
-#define SIRIUS_PROFILE_SCOPE(profiler, scope) static_cast<void>(0)
-#endif

@@ -78,13 +78,15 @@ std::uint64_t load_u64(const std::string& s, std::size_t at) {
 }
 
 struct RxSplit {
-  std::string stripped;  ///< the payload with every flow's receive state absent
-  std::int64_t present = 0;
+  std::string stripped;  ///< the payload without complete flows' records
+  std::int64_t present = 0;  ///< records removed
 };
 
 // Rewrites the receive-state section ("RXBF", the flow count, then per flow
 // a presence byte and, if present, completion, aborted flag and reorder
-// buffer) so that no flow has receive state; everything else is kept.
+// buffer) so that no complete flow has receive state; everything else is
+// kept. Without faults a complete flow has no cell left in a queue or on
+// the wire, and such a cell would need its flow's record.
 RxSplit strip_receive_state(const std::string& payload, std::size_t flows) {
   RxSplit out;
   std::size_t tag = payload.find("RXBF");
@@ -93,17 +95,27 @@ RxSplit strip_receive_state(const std::string& payload, std::size_t flows) {
   }
   EXPECT_NE(tag, std::string::npos);
   if (tag == std::string::npos) return out;
-  const std::size_t first = tag + 12;
-  std::size_t p = first;
+  std::size_t p = tag + 12;
+  out.stripped = payload.substr(0, p);
   for (std::size_t f = 0; f < flows; ++f) {
-    if (payload[p++] == 0) continue;
-    ++out.present;
-    p += 8 + 1 + 8 + 8;  // completion, aborted, total cells, next expected
+    const std::size_t at = p;
+    if (payload[p++] == 0) {
+      out.stripped += '\0';
+      continue;
+    }
+    // completion, aborted, total cells, next expected
+    const bool complete = load_u64(payload, p + 9) == load_u64(payload, p + 17);
+    p += 8 + 1 + 8 + 8;
     const std::uint64_t words = load_u64(payload, p);
     p += 8 + 8 * words + 3 * 8;  // bitmap, buffered cells/bytes, peak
+    if (complete) {
+      ++out.present;
+      out.stripped += '\0';
+    } else {
+      out.stripped += payload.substr(at, p - at);
+    }
   }
-  out.stripped = payload.substr(0, first) + std::string(flows, '\0') +
-                 payload.substr(p);
+  out.stripped += payload.substr(p);
   return out;
 }
 
@@ -113,10 +125,10 @@ struct RxCost {
 };
 
 // Takes a snapshot halfway through the arrivals of `flows` flows and
-// counts the allocations its receive state adds to one restore_state()
-// into a fresh sim: the restore's allocations minus those of the same
-// snapshot with every receive record removed. Queue and wire state are the
-// same in both, so the difference is receive state alone.
+// counts the allocations its complete flows' receive records add to one
+// restore_state() into a fresh sim: the restore's allocations minus those
+// of the same snapshot with those records removed. Queue and wire state
+// are the same in both, so the difference is receive state alone.
 RxCost receive_state_allocations(std::int64_t flows) {
   auto cfg = net();
   const auto w = make_wl(cfg, flows);
@@ -136,7 +148,7 @@ RxCost receive_state_allocations(std::int64_t flows) {
 TEST(RestoreAllocations, FlatInFlowCount) {
   const RxCost small = receive_state_allocations(400);
   const RxCost large = receive_state_allocations(4000);
-  // The larger snapshot holds about ten times the receive records...
+  // The larger snapshot holds about ten times the complete flows' records...
   EXPECT_GT(small.present, 100);
   EXPECT_GT(large.present, 5 * small.present);
   // ...and restoring them allocates exactly as often.

@@ -18,10 +18,6 @@
 namespace sirius::check {
 namespace {
 
-#if !defined(SIRIUS_AUDIT)
-#error "check_test requires an audited build (SIRIUS_AUDIT)"
-#endif
-
 TEST(InvariantContext, CollectModeRecordsInsteadOfAborting) {
   ScopedCollect collect;
   SIRIUS_INVARIANT(1 + 1 == 3, "arithmetic broke: %d", 2);

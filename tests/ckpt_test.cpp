@@ -4,6 +4,7 @@
 // fault window is bit-identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -660,10 +661,10 @@ TEST(CkptSim, CorruptionMatrixRejectsImpossibleFailoverState) {
   EXPECT_TRUE(ok.restore_state(snap, &error)) << error;
 }
 
-// Cells on the wire are checked against the workload like queued cells
-// and timers: delivery indexes the flow's receive record by flow and seq
-// and the destination server's downlink. The cases patch the first
-// in-flight cell of a CRC-valid snapshot.
+// Cells on the wire and in the queues are checked against their flow's
+// receive record, like timers: delivery indexes that record by flow and
+// seq and the destination server's downlink. The cases patch the first
+// in-flight cell and the first queued cell of a CRC-valid snapshot.
 TEST(CkptSim, CorruptionMatrixRejectsCellsOutsideTheWorkload) {
   auto cfg = faulted_net();
   const auto w = make_wl(cfg, 0.5, 400);
@@ -707,42 +708,96 @@ TEST(CkptSim, CorruptionMatrixRejectsCellsOutsideTheWorkload) {
     p.replace(pos, bytes.data().size(), bytes.data());
     return p;
   };
-  // Cell fields: flow (i64), seq, destination rack, destination server.
-  ckpt::Reader server(view.substr(first_cell + 16, 4));
-  const std::int32_t other_server = (server.i32() + 1) % cfg.servers();
+  const auto i32_at = [view](std::size_t pos) {
+    ckpt::Reader r(view.substr(pos, 4));
+    return r.i32();
+  };
+  const auto rack = [&cfg](std::int32_t server) {
+    return server / cfg.servers_per_rack;
+  };
+  // A queued cell: the first node-section window that reads as a cell of an
+  // inter-rack flow injected before the snapshot. Cell fields: flow (i64),
+  // seq, destination rack, destination server, payload, retries.
+  const std::size_t nodes = snap.find("NODE");
+  const std::size_t rx = snap.find("RXBF", nodes);
+  ASSERT_NE(rx, std::string::npos);
+  std::size_t queued = 0;
+  for (std::size_t p = nodes + 4; queued == 0 && p + node::kCellBytes < rx;
+       ++p) {
+    const auto flow = static_cast<std::int64_t>(u64_at(p));
+    if (flow < 0 || flow >= static_cast<std::int64_t>(w.flows.size())) {
+      continue;
+    }
+    const workload::Flow& f = w.flows[static_cast<std::size_t>(flow)];
+    const std::int32_t seq = i32_at(p + 8);
+    const std::int32_t payload = i32_at(p + 20);
+    if (f.arrival < Time::us(100) && rack(f.src_server) != rack(f.dst_server) &&
+        seq >= 0 && seq < node::cells_for(f.size, cfg.slots.cell_size()) &&
+        i32_at(p + 12) == rack(f.dst_server) &&
+        i32_at(p + 16) == f.dst_server && payload > 0 &&
+        payload <= cfg.slots.cell_size().in_bytes() && i32_at(p + 24) == 0) {
+      queued = p;
+    }
+  }
+  ASSERT_NE(queued, 0u) << "no queued cell";
+  // An intra-rack flow injected before the snapshot has no receive record:
+  // none of its cells crosses the core.
+  const auto intra = std::find_if(
+      w.flows.begin(), w.flows.end(), [&](const workload::Flow& f) {
+        return f.arrival < Time::us(100) &&
+               rack(f.src_server) == rack(f.dst_server);
+      });
+  ASSERT_NE(intra, w.flows.end());
+
+  struct Case {
+    std::string what;
+    std::string payload;
+    std::string error;
+  };
+  std::vector<Case> cases;
+  // The destination rack stays in every patch, so a queued cell still
+  // matches its queue and only the flow check can reject it.
+  for (const auto& [where, cell] : {std::pair{"in-flight", first_cell},
+                                    std::pair{"queued", queued}}) {
+    const std::string error = std::string(where) + " cell outside the workload";
+    const std::int32_t other_server = (i32_at(cell + 16) + 1) % cfg.servers();
+    std::string intra_cell = patched(cell, intra->id, true);
+    ckpt::Writer seq0;
+    seq0.i32(0);
+    intra_cell.replace(cell + 8, 4, seq0.data());
+    ckpt::Writer server;
+    server.i32(intra->dst_server);
+    intra_cell.replace(cell + 16, 4, server.data());
+    cases.push_back({std::string(where) + " flow the workload does not have",
+                     patched(cell, 1'000'000'000, true), error});
+    cases.push_back({std::string(where) + " seq past the flow's last cell",
+                     patched(cell + 8, 1'000'000, false), error});
+    cases.push_back({std::string(where) + " server other than the flow's",
+                     patched(cell + 16, other_server, false), error});
+    cases.push_back({std::string(where) + " intra-rack flow",
+                     std::move(intra_cell), error});
+  }
   // The last flow arrives after the snapshot; a cell of it that heads to
   // its server is wrong only in existing too early.
   const workload::Flow& last = w.flows.back();
   ASSERT_GT(last.arrival, Time::us(125));
-  const std::string early = [&] {
-    std::string p = patched(first_cell, last.id, true);
+  {
+    std::string early = patched(first_cell, last.id, true);
     ckpt::Writer fields;
     fields.i32(0);
-    fields.i32(last.dst_server / cfg.servers_per_rack);
+    fields.i32(rack(last.dst_server));
     fields.i32(last.dst_server);
-    p.replace(first_cell + 8, 12, fields.data());
-    return p;
-  }();
-  const struct {
-    const char* what;
-    std::string payload;
-  } cases[] = {
-      {"flow the workload does not have",
-       patched(first_cell, 1'000'000'000, true)},
-      {"seq past the flow's last cell",
-       patched(first_cell + 8, 1'000'000, false)},
-      {"another server than the flow's",
-       patched(first_cell + 16, other_server, false)},
-      {"flow not injected yet", early},
-  };
+    early.replace(first_cell + 8, 12, fields.data());
+    cases.push_back({"in-flight flow not injected yet", std::move(early),
+                     "in-flight cell outside the workload"});
+  }
   for (const auto& c : cases) {
     const ckpt::LoadResult framed = ckpt::parse(ckpt::frame(c.payload));
     ASSERT_TRUE(framed.ok()) << c.what << ": " << framed.message;
     sim::SiriusSim target(cfg, w);
     std::string error;
     EXPECT_FALSE(target.restore_state(framed.payload, &error)) << c.what;
-    EXPECT_NE(error.find("in-flight cell outside the workload"),
-              std::string::npos)
+    EXPECT_NE(error.find(c.error), std::string::npos)
         << c.what << ": " << error;
   }
   sim::SiriusSim ok(cfg, w);

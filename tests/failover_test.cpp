@@ -613,7 +613,6 @@ TEST(MembershipView, RestoreRejectsImpossibleVerdicts) {
   EXPECT_TRUE(back.link_down(1, 2));
 }
 
-#if defined(SIRIUS_AUDIT)
 TEST(CcExclusion, OutOfRangeIdsAreAuditedAndIgnored) {
   // Exclusion bookkeeping is bounds-checked: an out-of-range id trips the
   // invariant (collected here instead of aborting) and is ignored on the
@@ -627,7 +626,6 @@ TEST(CcExclusion, OutOfRangeIdsAreAuditedAndIgnored) {
   EXPECT_EQ(collect.violations(), 4);  // 3 calls + the is_excluded probe
   for (NodeId i = 0; i < 8; ++i) EXPECT_FALSE(n.is_excluded(i));
 }
-#endif
 
 }  // namespace
 }  // namespace sirius

@@ -44,14 +44,8 @@ foreach(f IN LISTS fixtures)
   math(EXPR checked "${checked} + 1")
   # Strip the .in staging suffix so headers classify as headers.
   string(REGEX REPLACE "\\.in$" "" base ${f})
-  # The dead-public-symbol report is opt-in; its fixture only trips with
-  # the flag on.
-  set(extra "")
-  if(f MATCHES "^dead_symbol")
-    set(extra "--dead-symbols")
-  endif()
   execute_process(
-    COMMAND ${LINT} --quiet ${extra} --classify-as src/sim/${base}
+    COMMAND ${LINT} --quiet --classify-as src/sim/${base}
             ${FIXTURES_DIR}/${f}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(rc EQUAL 0)

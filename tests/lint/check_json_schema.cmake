@@ -42,8 +42,7 @@ set(expected_ids
   raw-unit-param pragma-once
   # cross-file rules
   no-mutable-global-state no-unordered-sim-state no-pointer-key-order
-  allowlist-sync layer-order include-cycle duplicate-include
-  dead-public-symbol)
+  allowlist-sync layer-order include-cycle duplicate-include)
 set(missing ${expected_ids})
 list(REMOVE_ITEM missing ${rule_ids})
 set(unexpected ${rule_ids})

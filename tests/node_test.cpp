@@ -7,7 +7,6 @@
 
 #include "ckpt/io.hpp"
 #include "common/rng.hpp"
-#include "workload/flow.hpp"
 #include "node/cell.hpp"
 #include "node/node.hpp"
 #include "node/pooled_queues.hpp"
@@ -48,19 +47,6 @@ Cell cell_no(std::int32_t k) {
   c.payload_bytes = 562 - k % 5;
   c.retries = k % 3;
   return c;
-}
-
-/// Workload flows that cell_no(0) ... cell_no(n - 1) belong to.
-std::vector<workload::Flow> flows_of_cells(std::int32_t n) {
-  std::vector<workload::Flow> flows(static_cast<std::size_t>(1000 + n));
-  for (std::int32_t k = 0; k < n; ++k) {
-    const Cell c = cell_no(k);
-    workload::Flow& f = flows[static_cast<std::size_t>(c.flow)];
-    f.id = c.flow;
-    f.dst_server = c.dst_server;
-    f.size = kCell * (k + 1);
-  }
-  return flows;
 }
 
 void write_cell(ckpt::Writer& w, const Cell& c) {
@@ -324,7 +310,7 @@ TEST(Node, CheckpointBytesMatchDequeReferences) {
 
   Node back(0, cc_cfg(), kCell);
   ckpt::Reader r(got.data());
-  ASSERT_TRUE(back.restore(r, flows_of_cells(next))) << r.error();
+  ASSERT_TRUE(back.restore(r)) << r.error();
   ckpt::Writer again;
   back.serialize(again);
   EXPECT_EQ(again.data(), want.data());
@@ -359,7 +345,7 @@ TEST(Node, RestoreRejectsLocalStateThatDisagreesWithItsFlows) {
     bad[at] = static_cast<char>(now);
     Node back(0, cc_cfg(), kCell);
     ckpt::Reader r(bad);
-    EXPECT_FALSE(back.restore(r, {}));
+    EXPECT_FALSE(back.restore(r));
     return r.error();
   };
   EXPECT_NE(rejects(total_cells_at, 2, 3).find("LOCAL flow state"),
@@ -367,14 +353,15 @@ TEST(Node, RestoreRejectsLocalStateThatDisagreesWithItsFlows) {
   EXPECT_NE(rejects(cursor_at, 0, 1).find("LOCAL cursor"), std::string::npos);
   Node back(0, cc_cfg(), kCell);
   ckpt::Reader r(bytes);
-  EXPECT_TRUE(back.restore(r, {})) << r.error();
+  EXPECT_TRUE(back.restore(r)) << r.error();
 }
 
 TEST(Node, RestoreRejectsQueuedCellsOutsideTheWorkload) {
   // Delivery indexes per-flow receive state by a cell's flow and seq and a
-  // server's downlink by its destination server, so a snapshot may hold
-  // only cells its workload can have cut.
-  const std::vector<workload::Flow> flows = flows_of_cells(1);
+  // server's downlink by its destination server. The node rejects a queued
+  // cell for a rack outside the network itself; the flow, seq and server
+  // are checked by the sim against receive records it reads later, so
+  // for_each_queued_cell must hand back every restored cell as it was read.
   const Cell c = cell_no(0);
   Node n(0, cc_cfg(), kCell);
   n.push_vq(2, c);
@@ -385,25 +372,47 @@ TEST(Node, RestoreRejectsQueuedCellsOutsideTheWorkload) {
   write_cell(cell, c);
   const std::size_t at = bytes.find(cell.data());
   ASSERT_NE(at, std::string::npos);
-  const auto rejects = [&](std::size_t offset, std::int32_t value) {
+  const auto patched = [&](std::size_t offset, std::int32_t value) {
     std::string bad = bytes;
     ckpt::Writer v;
     v.i32(value);
     bad.replace(at + offset, 4, v.data());
-    Node back(0, cc_cfg(), kCell);
-    ckpt::Reader r(bad);
-    EXPECT_FALSE(back.restore(r, flows));
-    return r.error();
+    return bad;
   };
   // The cell's fields: flow (i64, low word first), seq, dst node, dst
-  // server. Flow 1001 does not exist, flow 1000 has one cell, and its
-  // destination server is 0.
-  EXPECT_NE(rejects(0, 1001).find("outside the workload"), std::string::npos);
-  EXPECT_NE(rejects(8, 1).find("outside the workload"), std::string::npos);
-  EXPECT_NE(rejects(16, 3).find("outside the workload"), std::string::npos);
-  Node back(0, cc_cfg(), kCell);
-  ckpt::Reader r(bytes);
-  EXPECT_TRUE(back.restore(r, flows)) << r.error();
+  // server. The network has 8 racks.
+  {
+    const std::string bad = patched(12, 8);
+    Node back(0, cc_cfg(), kCell);
+    ckpt::Reader r(bad);
+    EXPECT_FALSE(back.restore(r));
+    EXPECT_NE(r.error().find("wrong destination"), std::string::npos)
+        << r.error();
+  }
+  // The cells queued after restore, in their encoding.
+  const auto queued_after_restore = [](const std::string& snap) {
+    Node back(0, cc_cfg(), kCell);
+    ckpt::Reader r(snap);
+    EXPECT_TRUE(back.restore(r)) << r.error();
+    ckpt::Writer out;
+    back.for_each_queued_cell([&out](const Cell& q) { write_cell(out, q); });
+    return out.data();
+  };
+  const auto encoded = [](const Cell& q) {
+    ckpt::Writer out;
+    write_cell(out, q);
+    return out.data();
+  };
+  Cell other_flow = c;
+  other_flow.flow = 1001;
+  Cell other_seq = c;
+  other_seq.seq = 1;
+  Cell other_server = c;
+  other_server.dst_server = 3;
+  EXPECT_EQ(queued_after_restore(patched(0, 1001)), encoded(other_flow));
+  EXPECT_EQ(queued_after_restore(patched(8, 1)), encoded(other_seq));
+  EXPECT_EQ(queued_after_restore(patched(16, 3)), encoded(other_server));
+  EXPECT_EQ(queued_after_restore(bytes), encoded(c));
 }
 
 TEST(Node, OccupancyTracksForwardAndVirtualQueues) {

@@ -198,13 +198,11 @@ TEST(PerfObservability, InstrumentedRunIsBitIdentical) {
     if (a.kind == "flame") flame_written = a.ok;
   }
   EXPECT_TRUE(flame_written);
-#if defined(SIRIUS_TELEMETRY)
-  // With the scope macros compiled in, the export carries the hot loop.
+  // The export carries the hot loop.
   std::ifstream in(flame_path);
   std::ostringstream ss;
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("slot-loop"), std::string::npos);
-#endif
   std::error_code ec;
   std::filesystem::remove(flame_path, ec);
 }

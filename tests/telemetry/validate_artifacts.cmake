@@ -9,8 +9,9 @@
 #   * the trace is Chrome trace-event JSON with a non-empty event array,
 #   * the metrics JSONL rows parse and carry the core counters.
 # Finally asserts the CLI rejects bad options with exit code 2 before any
-# simulation work: an unknown option, malformed numbers, a non-positive
-# metrics cadence, and a flame path whose directory does not exist.
+# simulation work: an unknown option, malformed numbers, a fault plan the
+# chosen --system cannot run, a non-positive metrics cadence, and a flame
+# path whose directory does not exist.
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(METRICS ${OUT_DIR}/metrics.jsonl)
 set(TRACE ${OUT_DIR}/trace.json)
@@ -92,19 +93,30 @@ if(NOT err MATCHES "unknown option --definitely-not-a-flag")
   message(FATAL_ERROR "unknown-option error message missing:\n${err}")
 endif()
 
-# ---- a number must parse in full --------------------------------------------
-foreach(bad "--fail;abc" "--flows;2e2" "--racks;x8")
+# ---- a number must parse in full; a fault plan needs a system that runs it --
+# Each case is "<args>|<expected stderr regex>"; all exit 2 before any run.
+foreach(case
+    "--fail abc|error: --fail: malformed number"
+    "--flows 2e2|error: --flows: malformed number"
+    "--racks x8|error: --racks: malformed number"
+    "--system sirius-ideal --fault 2@20|error: --fault: not supported"
+    "--system sirius-ideal --grey 2>5@0.5|error: --grey: not supported"
+    "--system esn --fail 2|error: --fail: not supported"
+    "--system esn --fault 2@20|error: --fault: not supported"
+    "--system esn-osub --grey 2>5@0.5|error: --grey: not supported")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 bad)
+  list(GET parts 1 expect)
+  separate_arguments(bad UNIX_COMMAND "${bad}")
   execute_process(
     COMMAND ${CLI} run ${bad}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
-  list(GET bad 0 flag)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "run ${bad} exited ${rc}, expected 2:\n${out}${err}")
   endif()
-  if(NOT err MATCHES "error: ${flag}: malformed number" OR
-     NOT out STREQUAL "")
+  if(NOT err MATCHES "${expect}" OR NOT out STREQUAL "")
     message(FATAL_ERROR "run ${bad} was not rejected upfront:\n${out}${err}")
   endif()
 endforeach()

@@ -20,6 +20,8 @@
 // fabric must detect the fault in-band, reconfigure, and recover lost
 // cells; the run then also prints a failover summary (detection and
 // dissemination latency, drops, retransmissions, goodput transient).
+// `--system sirius-ideal` takes `--fail` only, and the ESN systems take
+// none of the three: `run` rejects the rest with exit 2.
 //
 // Telemetry (docs/OBSERVABILITY.md): `--trace` is a workload *input* (a
 // flow trace CSV); `--trace-events` is a telemetry *output* (Chrome
@@ -493,6 +495,17 @@ int cmd_run(const Args& a) {
     std::fprintf(stderr, "error: --metrics-every-us must be positive\n");
     return 2;
   }
+  // The ESN fluid model has no fault model, and mid-run faults need the
+  // Valiant request/grant kernel (in-band detection rides on its bursts).
+  const bool esn = system == "esn" || system == "esn-osub";
+  for (const std::string flag : {"fail", "fault", "grey"}) {
+    if (!opt_str(a, flag, "").empty() &&
+        (esn || (flag != "fail" && system == "sirius-ideal"))) {
+      std::fprintf(stderr, "error: --%s: not supported with --system %s\n",
+                   flag.c_str(), system.c_str());
+      return 2;
+    }
+  }
   const std::optional<CkptOpts> ck = ckpt_opts_from(a);
   if (!ck.has_value()) return 2;
   telemetry::Hub hub(tc);
@@ -520,7 +533,7 @@ int cmd_run(const Args& a) {
     print_metrics_row(mm);
   };
   int rc = 0;
-  if (system == "esn" || system == "esn-osub") {
+  if (esn) {
     if (ck->active()) {
       std::fprintf(stderr,
                    "error: checkpointing requires --system sirius or "

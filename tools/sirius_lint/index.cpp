@@ -79,19 +79,6 @@ bool has_any_token(const std::string& s,
   return false;
 }
 
-/// Control keywords a misread definition head could surface as a
-/// "function" name; never record them as definitions or declarations (a
-/// phantom `if` entry would count every if-statement as a call site).
-bool is_cpp_keyword(const std::string& name) {
-  static const std::set<std::string> kKeywords = {
-      "if",     "else",    "for",      "while",         "do",
-      "switch", "case",    "default",  "return",        "break",
-      "continue", "goto",  "try",      "catch",         "throw",
-      "new",    "delete",  "sizeof",   "alignof",       "decltype",
-      "static_assert",     "co_await", "co_return",     "co_yield"};
-  return kKeywords.count(name) != 0;
-}
-
 /// Strips SIRIUS_* macros and alignas(...) from a statement (with or
 /// without an argument list), so declarations classify the same annotated
 /// and bare.
@@ -165,7 +152,7 @@ std::string decl_name(const std::string& decl) {
 struct Scope {
   enum Kind { kNamespace, kClass, kEnum, kFunction, kBlock, kInit };
   Kind kind = kBlock;
-  std::string name;  // class name / function name ("" for a lambda body)
+  std::string name;  // class name
 };
 
 struct Pending {
@@ -294,32 +281,7 @@ class Scanner {
   void push_scope() {
     Pending& p = pendings_.back();
     const std::string raw = trim(p.text);
-    const int head_line = p.first_line < 0 ? line_ : p.first_line;
     scopes_.push_back(classify_brace(raw));
-    const Scope& s = scopes_.back();
-    if (s.kind == Scope::kFunction && !s.name.empty() &&
-        !is_cpp_keyword(s.name)) {
-      FunctionDef fd;
-      fd.name = s.name;
-      fd.line = head_line + 1;
-      // The defining scope, seen from outside this new function scope.
-      if (scopes_.size() >= 2) {
-        for (auto it = std::next(scopes_.rbegin()); it != scopes_.rend();
-             ++it) {
-          if (it->kind == Scope::kFunction || it->kind == Scope::kClass ||
-              it->kind == Scope::kNamespace) {
-            if (it->kind == Scope::kClass) fd.klass = it->name;
-            break;
-          }
-        }
-      }
-      idx_.fns.push_back(fd);
-      if (!fd.klass.empty()) {
-        // An in-class definition is also a declaration: record it so the
-        // dead-public-symbol report sees inline-defined methods.
-        idx_.decls.push_back(MethodDecl{fd.klass, fd.name, fd.line});
-      }
-    }
     pendings_.push_back(Pending{});
   }
 
@@ -401,9 +363,6 @@ class Scanner {
     }
     if (paren != std::string::npos) {
       s.kind = Scope::kFunction;
-      // name: identifier immediately before the first top-level '('
-      const auto head_toks = ident_tokens(trim(pending.substr(0, paren)));
-      if (!head_toks.empty()) s.name = head_toks.back();
       return s;
     }
     s.kind = Scope::kInit;  // `Type name{...}` and anything unrecognised
@@ -444,13 +403,8 @@ class Scanner {
     const std::size_t eq = find_top_level(stmt, '=');
     const std::string decl =
         eq == std::string::npos ? stmt : trim(stmt.substr(0, eq));
-    const std::size_t gparen = find_top_level(decl, '(');
-    if (gparen != std::string::npos) {  // free-function declaration
-      const auto head_toks = ident_tokens(trim(decl.substr(0, gparen)));
-      if (!head_toks.empty() && !is_cpp_keyword(head_toks.back())) {
-        idx_.decls.push_back(MethodDecl{"", head_toks.back(), line0 + 1});
-      }
-      return;
+    if (find_top_level(decl, '(') != std::string::npos) {
+      return;  // free-function declaration
     }
     const std::string name = decl_name(decl);
     if (name.empty()) return;
@@ -496,13 +450,8 @@ class Scanner {
     }
     std::size_t eq = find_top_level(stmt, '=');
     std::string decl = eq == std::string::npos ? stmt : trim(stmt.substr(0, eq));
-    const std::size_t mparen = find_top_level(decl, '(');
-    if (mparen != std::string::npos) {  // method declaration
-      const auto head_toks = ident_tokens(trim(decl.substr(0, mparen)));
-      if (!head_toks.empty() && !is_cpp_keyword(head_toks.back())) {
-        idx_.decls.push_back(MethodDecl{klass, head_toks.back(), line0 + 1});
-      }
-      return;
+    if (find_top_level(decl, '(') != std::string::npos) {
+      return;  // method declaration
     }
     const std::size_t colon = find_top_level(decl, ':');
     if (colon != std::string::npos) decl = trim(decl.substr(0, colon));  // bitfield
@@ -819,43 +768,6 @@ void rule_duplicate_include(const std::vector<FileIndex>& files,
   }
 }
 
-void rule_dead_public_symbol(const std::vector<FileIndex>& files,
-                             std::vector<Violation>& out) {
-  // declared[name] = decl + definition-head records; seen[name] = token
-  // occurrences across every scrubbed line. A symbol with no occurrence
-  // beyond its own declarations has no call site in the scanned set.
-  std::map<std::string, long> declared;
-  for (const FileIndex& f : files) {
-    for (const MethodDecl& d : f.decls) ++declared[d.name];
-    for (const FunctionDef& fn : f.fns) ++declared[fn.name];
-  }
-  std::map<std::string, long> seen;
-  static const std::regex ident_re(R"([A-Za-z_][A-Za-z0-9_]*)");
-  for (const FileIndex& f : files) {
-    for (const std::string& line : f.lines) {
-      for (auto it = std::sregex_iterator(line.begin(), line.end(), ident_re);
-           it != std::sregex_iterator(); ++it) {
-        const std::string tok = it->str();
-        const auto dit = declared.find(tok);
-        if (dit != declared.end()) ++seen[tok];
-      }
-    }
-  }
-  for (const FileIndex& f : files) {
-    if (!f.kind.is_header || !under_src(f.effective_path, {})) continue;
-    for (const MethodDecl& d : f.decls) {
-      if (d.name.empty() || d.name == d.klass) continue;  // ctor/dtor
-      if (seen[d.name] <= declared[d.name]) {
-        report(out, f, d.line, "dead-public-symbol",
-               "public symbol `" +
-                   (d.klass.empty() ? d.name : d.klass + "::" + d.name) +
-                   "` has no call site in the scanned tree: remove it or "
-                   "keep it deliberately with allow(dead-public-symbol)");
-      }
-    }
-  }
-}
-
 // ---- allowlist sync --------------------------------------------------------
 
 struct AllowEntry {
@@ -946,8 +858,7 @@ FileIndex index_text(const std::string& text, const std::string& reported_path,
 }
 
 std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
-                                     const std::string& allowlist_path,
-                                     const EvalOptions& opts) {
+                                     const std::string& allowlist_path) {
   std::vector<Violation> out;
   rule_mutable_global(files, out);
   rule_unordered_sim_state(files, out);
@@ -955,9 +866,6 @@ std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
   rule_layer_order(files, out);
   rule_include_cycle(files, out);
   rule_duplicate_include(files, out);
-  if (opts.dead_symbols) {
-    rule_dead_public_symbol(files, out);
-  }
   if (!allowlist_path.empty()) {
     rule_allowlist_sync(files, allowlist_path, out);
   }

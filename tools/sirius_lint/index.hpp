@@ -14,8 +14,7 @@
 //     stack (namespace / class / function / block / brace-init) well enough
 //     to extract a FileIndex: namespace-scope and function-`static` mutable
 //     variables, class fields with their declared type text, `#include`
-//     edges, function heads and declarations, and every
-//     `sirius-lint: allow(...)` suppression site.
+//     edges, and every `sirius-lint: allow(...)` suppression site.
 //
 //   pass 2 (evaluate_tree): the merged index is evaluated against the
 //     cross-file rules (see docs/STATIC_ANALYSIS.md for the
@@ -68,22 +67,6 @@ struct IncludeEdge {
   int line = 0;  ///< 1-based
 };
 
-/// A function definition head (free function, out-of-line method, or
-/// in-class inline method), keyed by unqualified name.
-struct FunctionDef {
-  std::string klass;  ///< enclosing class when defined in-class ("" else)
-  std::string name;   ///< unqualified name
-  int line = 0;       ///< 1-based line of the definition head
-};
-
-/// A function/method declaration (class body or namespace scope; an
-/// in-class definition counts too). Feeds the dead-public-symbol report.
-struct MethodDecl {
-  std::string klass;  ///< "" for free-function declarations
-  std::string name;
-  int line = 0;  ///< 1-based
-};
-
 /// Everything pass 1 knows about one file.
 struct FileIndex {
   std::string path;            ///< real path (reported in violations)
@@ -93,8 +76,6 @@ struct FileIndex {
   std::vector<Field> fields;
   std::vector<GlobalVar> globals;
   std::vector<AllowSite> allows;
-  std::vector<FunctionDef> fns;      ///< function definition heads
-  std::vector<MethodDecl> decls;     ///< fn/method declarations
   // Per-line text, 0-based.
   std::vector<std::string> lines;     ///< scrubbed code lines
   std::vector<std::string> comments;  ///< comment text per line
@@ -106,19 +87,10 @@ struct FileIndex {
 FileIndex index_text(const std::string& text, const std::string& reported_path,
                      const std::string& effective_path, const FileKind& kind);
 
-/// Optional pass-2 analyses (CLI flags).
-struct EvalOptions {
-  /// Emit the dead-public-symbol report (off by default: it is a review
-  /// aid, not a gate — a symbol used only outside the scanned set would
-  /// be a false positive in a partial scan).
-  bool dead_symbols = false;
-};
-
 /// Pass 2: evaluates the cross-file rules over the merged
 /// index. `allowlist_path` enables the ALLOWLIST.md sync check when
 /// non-empty. Suppression comments are honoured exactly like pass-1 rules.
 std::vector<Violation> evaluate_tree(const std::vector<FileIndex>& files,
-                                     const std::string& allowlist_path,
-                                     const EvalOptions& opts = {});
+                                     const std::string& allowlist_path);
 
 }  // namespace sirius::lint

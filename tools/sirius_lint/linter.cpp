@@ -146,9 +146,6 @@ constexpr RuleInfo kPass2Rules[] = {
      "the quoted-include graph of the scanned set must be acyclic"},
     {"duplicate-include",
      "a file must not include the same quoted target twice"},
-    {"dead-public-symbol",
-     "(--dead-symbols) symbols declared in src/ headers with no call site "
-     "in the scanned tree are reported for review"},
 };
 
 }  // namespace

@@ -25,8 +25,6 @@
 //                       path-scoped rules like no-unordered-sim-state)
 //   --allowlist <path>  cross-check every `sirius-lint: allow(...)` site
 //                       against this ALLOWLIST.md (rule allowlist-sync)
-//   --dead-symbols      also run the dead-public-symbol report (off by
-//                       default: it is a review aid, not a gate)
 //   --list-rules        print the rule table and exit
 //   --quiet             suppress per-violation lines (summary only)
 //
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
   bool treat_as_src = false;
   bool as_header = false;
   bool quiet = false;
-  sirius::lint::EvalOptions eval_opts;
   std::vector<fs::path> roots;
 
   for (int i = 1; i < argc; ++i) {
@@ -101,8 +98,6 @@ int main(int argc, char** argv) {
       as_header = true;
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--dead-symbols") {
-      eval_opts.dead_symbols = true;
     } else if (arg == "--list-rules") {
       for (const auto& r : sirius::lint::rules()) {
         std::cout << r.id << ": " << r.summary << "\n";
@@ -111,7 +106,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: sirius_lint [--json <path>] [--treat-as-src] "
                    "[--as-header] [--classify-as <path>]... "
-                   "[--allowlist <path>] [--dead-symbols] [--quiet] "
+                   "[--allowlist <path>] [--quiet] "
                    "[--list-rules] <path>...\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -195,7 +190,7 @@ int main(int argc, char** argv) {
   }
 
   // Pass 2: cross-file rules over the merged index.
-  auto vs = sirius::lint::evaluate_tree(index, allowlist_path, eval_opts);
+  auto vs = sirius::lint::evaluate_tree(index, allowlist_path);
   all.insert(all.end(), vs.begin(), vs.end());
 
   std::sort(all.begin(), all.end(), [](const Violation& a, const Violation& b) {
